@@ -317,12 +317,73 @@ fn golden_snapshot() -> Vec<u8> {
     sim.checkpoint(&workload, 4.0 * 3600.0)
 }
 
-/// Re-pinning helper: prints the current snapshot digest in source form.
+/// Golden pin of the blocks `SNAPSHOT_GOLDEN` never reaches with
+/// content: a `fig_scheduler` contention snapshot (smallest-first at the
+/// one-link budget) taken 5 s after a reclamation burst, with three
+/// transfers in flight and 16 reservations on the scheduler ledgers.
+#[test]
+fn scheduler_contention_snapshot_is_golden_pinned() {
+    assert_eq!(
+        fnv1a64(&scheduler_golden_snapshot()),
+        SCHEDULER_SNAPSHOT_GOLDEN,
+        "in-flight / ledger snapshot bytes drifted without a SNAPSHOT_VERSION bump"
+    );
+}
+
+/// Golden pin of the autoscaler block: the quick `fig_autoscale`
+/// deflation-aware spot-market snapshot at 4 h, with member pools,
+/// cooldown clocks, stats and the latency accumulator populated.
+#[test]
+fn autoscale_snapshot_is_golden_pinned() {
+    assert_eq!(
+        fnv1a64(&autoscale_golden_snapshot()),
+        AUTOSCALE_SNAPSHOT_GOLDEN,
+        "autoscaler snapshot bytes drifted without a SNAPSHOT_VERSION bump"
+    );
+}
+
+/// Golden digests captured from the version-1 snapshot format.
+const SCHEDULER_SNAPSHOT_GOLDEN: u64 = 0x40df_395a_e199_0936;
+const AUTOSCALE_SNAPSHOT_GOLDEN: u64 = 0xf1f5_b723_c424_f336;
+
+fn scheduler_golden_snapshot() -> Vec<u8> {
+    let workload = transient_workload(Scale::Quick);
+    let variant = SchedulerVariant::SmallestFirst;
+    let sim = transient_simulation(
+        &workload,
+        Scale::Quick,
+        TransientMode::Deflation,
+        CapacityProfile::spot_market_default(),
+        variant.cost(SCHEDULER_SWEEP_MBPS[0]),
+        variant.policy(),
+    );
+    sim.checkpoint(&workload, 15_265.0)
+}
+
+fn autoscale_golden_snapshot() -> Vec<u8> {
+    let workload = transient_workload(Scale::Quick);
+    let sim = autoscale_simulation(
+        &workload,
+        CapacityProfile::spot_market_default(),
+        AutoscaleVariant::DeflationAware,
+    );
+    sim.checkpoint(&workload, 4.0 * 3600.0)
+}
+
+/// Re-pinning helper: prints the current snapshot digests in source form.
 #[test]
 #[ignore = "re-pinning helper, run with --ignored --nocapture"]
 fn print_current_snapshot_digest() {
     println!(
         "const SNAPSHOT_GOLDEN: u64 = 0x{:016x};",
         fnv1a64(&golden_snapshot())
+    );
+    println!(
+        "const SCHEDULER_SNAPSHOT_GOLDEN: u64 = 0x{:016x};",
+        fnv1a64(&scheduler_golden_snapshot())
+    );
+    println!(
+        "const AUTOSCALE_SNAPSHOT_GOLDEN: u64 = 0x{:016x};",
+        fnv1a64(&autoscale_golden_snapshot())
     );
 }
