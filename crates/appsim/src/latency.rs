@@ -8,7 +8,7 @@
 //! [`LatencyStats`] accumulates per-request outcomes and produces those
 //! summary numbers.
 
-use deflate_core::checkpoint::{ByteReader, ByteWriter, CheckpointResult};
+use deflate_core::checkpoint::{CheckpointResult, StateVisitor};
 use serde::{Deserialize, Serialize};
 
 /// Outcome of one simulated request.
@@ -143,22 +143,12 @@ impl LatencyStats {
         deflate_core::mem::vec_capacity_bytes(&self.response_times)
     }
 
-    /// Serialize the accumulator for an engine checkpoint: every served
-    /// response time (in arrival order — the order drives nothing, but
-    /// keeping it makes the restored accumulator bit-identical) plus the
-    /// dropped count.
-    pub fn write_snapshot(&self, w: &mut ByteWriter) {
-        w.put_f64_slice(&self.response_times);
-        w.put_usize(self.dropped);
-    }
-
-    /// Rebuild an accumulator from [`write_snapshot`](Self::write_snapshot)
-    /// bytes.
-    pub fn read_snapshot(r: &mut ByteReader<'_>) -> CheckpointResult<Self> {
-        Ok(LatencyStats {
-            response_times: r.get_f64_vec()?,
-            dropped: r.get_usize()?,
-        })
+    /// The accumulator's snapshot schema: every served response time (in
+    /// arrival order — the order drives nothing, but keeping it makes the
+    /// restored accumulator bit-identical) plus the dropped count.
+    pub fn visit_state(&mut self, v: &mut impl StateVisitor) -> CheckpointResult<()> {
+        v.f64s("response_times", &mut self.response_times)?;
+        v.usize("dropped", &mut self.dropped)
     }
 }
 

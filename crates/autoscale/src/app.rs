@@ -35,6 +35,12 @@ pub enum DemandCurve {
     },
 }
 
+impl Default for DemandCurve {
+    fn default() -> Self {
+        DemandCurve::Constant { rps: 0.0 }
+    }
+}
+
 impl DemandCurve {
     /// The request rate at simulated time `t`, requests per second.
     pub fn rate(&self, t: f64) -> f64 {
@@ -65,7 +71,7 @@ impl DemandCurve {
 
 /// Specification of one elastic application: the replica template, the
 /// pool bounds and the demand signal.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct ElasticApp {
     /// Application id — the entity id carried by `ScaleOut` / `ScaleIn`
     /// events and their shard-routing key.

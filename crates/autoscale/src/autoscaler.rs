@@ -15,8 +15,7 @@
 
 use crate::app::ElasticApp;
 use crate::stats::{AutoscaleStats, LATENCY_CAP_SECS};
-use deflate_appsim::latency::LatencyStats;
-use deflate_core::checkpoint::{ByteReader, ByteWriter, CheckpointError, CheckpointResult};
+use deflate_core::checkpoint::{CheckpointResult, StateVisitor};
 use deflate_core::policy::{AutoscaleParams, AutoscalePolicy};
 use deflate_core::vm::{ServerId, VmId, VmSpec};
 use deflate_transient::events::SimEvent;
@@ -44,7 +43,7 @@ pub trait ElasticCluster {
 }
 
 /// One replica VM managed by the autoscaler.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 struct Member {
     vm: VmId,
     /// Parked by a deflation-aware scale-in: deflated, not serving, but
@@ -57,7 +56,7 @@ struct Member {
 }
 
 /// Per-application control-loop state.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 struct AppState {
     spec: ElasticApp,
     /// Managed replicas, ascending VM id (ids are handed out
@@ -70,8 +69,10 @@ struct AppState {
     cooldown_until: f64,
 }
 
-/// The deterministic target-tracking autoscaler.
-#[derive(Debug, Clone)]
+/// The deterministic target-tracking autoscaler. The default holds no
+/// applications: a blank for decoding a snapshot without its
+/// configuration.
+#[derive(Debug, Clone, Default)]
 pub struct Autoscaler {
     params: AutoscaleParams,
     deflation_aware: bool,
@@ -107,83 +108,45 @@ impl Autoscaler {
         }
     }
 
-    /// Serialize the control loop's **dynamic** state for an engine
-    /// checkpoint: per-application member pools (vm id, parked flag,
-    /// serving-from time, in pool order), the fresh-id counter, the
-    /// cooldown clock, and the accumulated [`AutoscaleStats`]. The policy
-    /// parameters and application specs are configuration — the restoring
-    /// side rebuilds the autoscaler from the same [`AutoscalePolicy`] and
-    /// [`ElasticApp`] list before applying the snapshot.
-    pub fn write_snapshot(&self, w: &mut ByteWriter) {
-        w.put_usize(self.apps.len());
-        for app in &self.apps {
-            w.put_usize(app.members.len());
-            for m in &app.members {
-                w.put_u64(m.vm.0);
-                w.put_bool(m.parked);
-                w.put_f64(m.serving_from);
-            }
-            w.put_u64(app.launched);
-            w.put_f64(app.cooldown_until);
-        }
-        let s = &self.stats;
-        w.put_usize(s.scale_out_actions);
-        w.put_usize(s.scale_in_actions);
-        w.put_usize(s.launches);
-        w.put_usize(s.launch_failures);
-        w.put_usize(s.reinflations);
-        w.put_usize(s.parks);
-        w.put_usize(s.retirements);
-        w.put_usize(s.replicas_lost);
-        w.put_usize(s.ticks);
-        w.put_usize(s.overload_ticks);
-        w.put_f64(s.setpoint_error_sum);
-        s.latency.write_snapshot(w);
-        w.put_usize(s.final_active);
-        w.put_usize(s.final_parked);
+    /// The control loop's snapshot schema: its **dynamic** state —
+    /// per-application member pools (vm id, parked flag, serving-from
+    /// time, in pool order), the fresh-id counter, the cooldown clock, and
+    /// the accumulated [`AutoscaleStats`]. The policy parameters and
+    /// application specs are configuration — the restoring side rebuilds
+    /// the autoscaler from the same [`AutoscalePolicy`] and
+    /// [`ElasticApp`] list before visiting the snapshot.
+    pub fn visit_state(&mut self, v: &mut impl StateVisitor) -> CheckpointResult<()> {
+        v.seq("app", &mut self.apps, 24, |v, app| {
+            v.seq("member", &mut app.members, 17, |v, m| {
+                v.u64("vm", &mut m.vm.0)?;
+                v.bool("parked", &mut m.parked)?;
+                v.f64("serving_from", &mut m.serving_from)
+            })?;
+            v.u64("launched", &mut app.launched)?;
+            v.f64("cooldown_until", &mut app.cooldown_until)
+        })?;
+        v.scope("stats", |v| {
+            let s = &mut self.stats;
+            v.usize("scale_out_actions", &mut s.scale_out_actions)?;
+            v.usize("scale_in_actions", &mut s.scale_in_actions)?;
+            v.usize("launches", &mut s.launches)?;
+            v.usize("launch_failures", &mut s.launch_failures)?;
+            v.usize("reinflations", &mut s.reinflations)?;
+            v.usize("parks", &mut s.parks)?;
+            v.usize("retirements", &mut s.retirements)?;
+            v.usize("replicas_lost", &mut s.replicas_lost)?;
+            v.usize("ticks", &mut s.ticks)?;
+            v.usize("overload_ticks", &mut s.overload_ticks)?;
+            v.f64("setpoint_error_sum", &mut s.setpoint_error_sum)?;
+            v.scope("latency", |v| s.latency.visit_state(v))?;
+            v.usize("final_active", &mut s.final_active)?;
+            v.usize("final_parked", &mut s.final_parked)
+        })
     }
 
-    /// Restore [`write_snapshot`](Self::write_snapshot) state onto a
-    /// freshly constructed autoscaler (same policy and application list).
-    pub fn read_snapshot(&mut self, r: &mut ByteReader<'_>) -> CheckpointResult<()> {
-        let num_apps = r.get_usize()?;
-        if num_apps != self.apps.len() {
-            return Err(CheckpointError::Corrupt(format!(
-                "snapshot has {} apps, autoscaler has {}",
-                num_apps,
-                self.apps.len()
-            )));
-        }
-        for app in &mut self.apps {
-            let members = r.get_usize()?;
-            app.members.clear();
-            for _ in 0..members {
-                app.members.push(Member {
-                    vm: VmId(r.get_u64()?),
-                    parked: r.get_bool()?,
-                    serving_from: r.get_f64()?,
-                });
-            }
-            app.launched = r.get_u64()?;
-            app.cooldown_until = r.get_f64()?;
-        }
-        self.stats = AutoscaleStats {
-            scale_out_actions: r.get_usize()?,
-            scale_in_actions: r.get_usize()?,
-            launches: r.get_usize()?,
-            launch_failures: r.get_usize()?,
-            reinflations: r.get_usize()?,
-            parks: r.get_usize()?,
-            retirements: r.get_usize()?,
-            replicas_lost: r.get_usize()?,
-            ticks: r.get_usize()?,
-            overload_ticks: r.get_usize()?,
-            setpoint_error_sum: r.get_f64()?,
-            latency: LatencyStats::read_snapshot(r)?,
-            final_active: r.get_usize()?,
-            final_parked: r.get_usize()?,
-        };
-        Ok(())
+    /// Number of elastic applications under control.
+    pub fn app_count(&self) -> usize {
+        self.apps.len()
     }
 
     /// The bootstrap events: one `ScaleOut` per application at its start

@@ -393,13 +393,13 @@ mod tests {
             w.put_usize(count); // stats counters; launches = 3
         }
         w.put_f64(0.0); // setpoint_error_sum
-        w.put_f64_slice(&[]); // latency samples
+        w.put_usize(0); // latency samples
         w.put_usize(0); // latency dropped
         w.put_usize(0); // final_active
         w.put_usize(0); // final_parked
         let bytes = w.into_bytes();
         autoscaler
-            .read_snapshot(&mut ByteReader::new(&bytes))
+            .visit_state(&mut ByteReader::new(&bytes))
             .unwrap();
 
         let violation = auditor

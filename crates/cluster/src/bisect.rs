@@ -11,24 +11,23 @@
 //!    runs from the last known-identical snapshot via
 //!    [`ClusterSimulation::resume_until`], until the first divergent
 //!    window is narrower than the requested resolution;
-//! 2. [`first_divergent_field`] then walks the two snapshots in lockstep
-//!    along the exact [`write_snapshot`](crate::manager::ClusterManager::write_snapshot)
-//!    byte layout and names the first field whose bits differ — e.g.
-//!    `placement_index.dirty_len` or
-//!    `manager.server[3].domain[17].guest.rss_mb`.
+//! 2. [`first_divergent_field`] then walks the two snapshots with a
+//!    field-naming diff visitor over the engine's snapshot schema (the
+//!    same `visit_state` methods the writer and reader run) and names the
+//!    first field whose bits differ — e.g. `manager.placement_dirty.len`
+//!    or `manager.server[3].domain[17].guest.rss_mb`.
 //!
 //! Because every probe resumes from the known-identical prefix, a bisection
 //! over a horizon `H` at resolution `r` costs `O(log2(H / r))` partial
 //! replays instead of the `O(H / r)` full replays of a linear scan.
 //!
-//! The walk mirrors `serialize_state` field for field; the layout is
-//! golden-pinned by `tests/checkpoint_restore.rs`, and
-//! `snapshot_walk_consumes_every_byte` below fails if the two ever drift.
+//! Because the diff runs the schema itself, it cannot drift from the byte
+//! layout; `snapshot_walk_consumes_every_byte` below pins that every
+//! flipped bit is named.
 
-use deflate_core::checkpoint::{ByteReader, CheckpointError, CheckpointResult};
-use deflate_core::resources::ResourceKind;
+use deflate_core::checkpoint::{ByteReader, CheckpointError, CheckpointResult, StateVisitor};
 
-use crate::sim::ClusterSimulation;
+use crate::sim::{visit_detached, ClusterSimulation};
 use crate::spec::WorkloadVm;
 
 /// The boundary used for the pre-first-event snapshot: no event fires at a
@@ -128,7 +127,7 @@ pub fn bisect_divergence(
     if let Some(diff) = first_divergent_field(&boot_a, &boot_b)? {
         return Ok(Some(DivergenceReport {
             window_secs: (BOOT_SECS, BOOT_SECS),
-            events_processed: (events_processed_of(&boot_a)?, events_processed_of(&boot_b)?),
+            events_processed: (processed_events(&boot_a)?, processed_events(&boot_b)?),
             diff,
             probes,
         }));
@@ -162,23 +161,20 @@ pub fn bisect_divergence(
         .expect("bisection invariant: the hi boundary stays divergent");
     Ok(Some(DivergenceReport {
         window_secs: (lo, hi),
-        events_processed: (events_processed_of(&hi_a)?, events_processed_of(&hi_b)?),
+        events_processed: (processed_events(&hi_a)?, processed_events(&hi_b)?),
         diff,
         probes,
     }))
 }
 
-/// The engine's processed-event counter stored in a snapshot, without
-/// restoring it.
-fn events_processed_of(snapshot: &[u8]) -> CheckpointResult<u64> {
-    let mut r = ByteReader::with_header(snapshot)?;
-    r.get_f64()?; // at_secs
-    r.get_usize()?; // workload length
-    r.get_u64()
+/// The processed-event count a snapshot carries, decoded through the
+/// engine's snapshot schema.
+fn processed_events(snapshot: &[u8]) -> CheckpointResult<u64> {
+    visit_detached(&mut ByteReader::with_header(snapshot)?)
 }
 
-/// Walk two snapshots in lockstep along the engine's snapshot layout and
-/// name the first field whose bits differ.
+/// Walk two snapshots along the engine's snapshot schema and name the
+/// first field whose bits differ.
 ///
 /// Returns `Ok(None)` for byte-identical snapshots. Errs when either
 /// buffer is corrupt (bad header, truncated, unknown discriminant) —
@@ -188,363 +184,151 @@ pub fn first_divergent_field(a: &[u8], b: &[u8]) -> CheckpointResult<Option<Snap
     if a == b {
         return Ok(None);
     }
-    let mut l = Lockstep {
-        a: ByteReader::with_header(a)?,
-        b: ByteReader::with_header(b)?,
+    let a_reader = ByteReader::with_header(a)?;
+    ByteReader::with_header(b)?;
+    let mut differ = SnapshotDiffer {
+        a_bytes: a,
+        a: a_reader,
+        b,
+        path: Vec::new(),
+        diff: None,
     };
-    match walk_snapshot(&mut l) {
-        Ok(()) => {
-            // Bytes differ but every field matched: one buffer carries
-            // trailing bytes the layout does not describe.
-            Ok(Some(SnapshotDiff {
-                field: "trailing_bytes".to_string(),
-                a: format!("{} left", l.a.remaining()),
-                b: format!("{} left", l.b.remaining()),
-            }))
-        }
-        Err(Stop::Diverged(diff)) => Ok(Some(*diff)),
-        Err(Stop::Corrupt(e)) => Err(e),
-    }
+    visit_detached(&mut differ)?;
+    Ok(Some(match differ.diff.take() {
+        Some(diff) => diff,
+        // Bytes differ but every field matched: one buffer carries
+        // trailing bytes the layout does not describe.
+        None => SnapshotDiff {
+            field: "trailing_bytes".to_string(),
+            a: format!("{} left", differ.a.remaining()),
+            b: format!("{} left", b.len() - differ.offset()),
+        },
+    }))
 }
 
-/// Why a lockstep walk stopped early.
-enum Stop {
-    Diverged(Box<SnapshotDiff>),
-    Corrupt(CheckpointError),
-}
-
-impl From<CheckpointError> for Stop {
-    fn from(e: CheckpointError) -> Self {
-        Stop::Corrupt(e)
-    }
-}
-
-type Step<T> = Result<T, Stop>;
-
-/// Two [`ByteReader`]s advanced field by field; the first mismatching
-/// primitive aborts the walk with its dotted field name.
-struct Lockstep<'s> {
+/// The field-naming diff visitor: decodes snapshot `a` through the
+/// schema and compares each visited field's bytes with the bytes at the
+/// same offset of `b`. The two stay aligned up to the first difference,
+/// which is recorded under its dotted path; the rest of `a` is decoded
+/// without comparison.
+struct SnapshotDiffer<'s> {
+    a_bytes: &'s [u8],
     a: ByteReader<'s>,
-    b: ByteReader<'s>,
+    b: &'s [u8],
+    /// Open scopes: a field name and, for collection items, the index.
+    path: Vec<(&'static str, Option<usize>)>,
+    diff: Option<SnapshotDiff>,
 }
 
-impl Lockstep<'_> {
-    fn diverged<T: std::fmt::Display>(name: impl FnOnce() -> String, a: T, b: T) -> Stop {
-        Stop::Diverged(Box::new(SnapshotDiff {
-            field: name(),
-            a: a.to_string(),
-            b: b.to_string(),
-        }))
+impl<'s> SnapshotDiffer<'s> {
+    /// Bytes of `a` consumed so far.
+    fn offset(&self) -> usize {
+        self.a_bytes.len() - self.a.remaining()
     }
 
-    fn u8(&mut self, name: impl FnOnce() -> String) -> Step<u8> {
-        let (a, b) = (self.a.get_u8()?, self.b.get_u8()?);
-        if a != b {
-            return Err(Self::diverged(name, a, b));
+    /// Compare the field just decoded from `a` (its bytes start at
+    /// `start`) with `b`; `theirs` renders `b`'s value on a mismatch.
+    fn compare<T: std::fmt::Display>(
+        &mut self,
+        name: &'static str,
+        start: usize,
+        ours: &T,
+        theirs: fn(&mut ByteReader<'s>) -> CheckpointResult<T>,
+    ) -> CheckpointResult<()> {
+        if self.diff.is_some() {
+            return Ok(());
         }
-        Ok(a)
+        let end = self.offset();
+        let b = self.b.get(start..end).ok_or(CheckpointError::Truncated)?;
+        if b != &self.a_bytes[start..end] {
+            let b_value = theirs(&mut ByteReader::new(b))
+                .map_or_else(|_| format!("{b:?}"), |v| v.to_string());
+            self.diff = Some(SnapshotDiff {
+                field: self.path_to(name),
+                a: ours.to_string(),
+                b: b_value,
+            });
+        }
+        Ok(())
     }
 
-    fn bool(&mut self, name: impl FnOnce() -> String) -> Step<bool> {
-        let (a, b) = (self.a.get_bool()?, self.b.get_bool()?);
-        if a != b {
-            return Err(Self::diverged(name, a, b));
+    /// The dotted path of field `name` in the open scopes, e.g.
+    /// `manager.server[3].domain[17].guest.rss_mb`.
+    fn path_to(&self, name: &'static str) -> String {
+        let mut path = String::new();
+        for &(segment, index) in self.path.iter().chain(&[(name, None)]) {
+            if !segment.is_empty() {
+                if !path.is_empty() {
+                    path.push('.');
+                }
+                path.push_str(segment);
+            }
+            if let Some(i) = index {
+                path.push_str(&format!("[{i}]"));
+            }
         }
-        Ok(a)
+        path
+    }
+}
+
+impl StateVisitor for SnapshotDiffer<'_> {
+    fn restoring(&self) -> bool {
+        true
     }
 
-    fn u32(&mut self, name: impl FnOnce() -> String) -> Step<u32> {
-        let (a, b) = (self.a.get_u32()?, self.b.get_u32()?);
-        if a != b {
-            return Err(Self::diverged(name, a, b));
-        }
-        Ok(a)
+    fn u8(&mut self, name: &'static str, v: &mut u8) -> CheckpointResult<()> {
+        let start = self.offset();
+        self.a.u8(name, v)?;
+        self.compare(name, start, v, ByteReader::get_u8)
     }
 
-    fn u64(&mut self, name: impl FnOnce() -> String) -> Step<u64> {
-        let (a, b) = (self.a.get_u64()?, self.b.get_u64()?);
-        if a != b {
-            return Err(Self::diverged(name, a, b));
-        }
-        Ok(a)
+    fn bool(&mut self, name: &'static str, v: &mut bool) -> CheckpointResult<()> {
+        let start = self.offset();
+        self.a.bool(name, v)?;
+        self.compare(name, start, v, ByteReader::get_bool)
     }
 
-    fn usize(&mut self, name: impl FnOnce() -> String) -> Step<usize> {
-        let (a, b) = (self.a.get_usize()?, self.b.get_usize()?);
-        if a != b {
-            return Err(Self::diverged(name, a, b));
-        }
-        Ok(a)
+    fn u32(&mut self, name: &'static str, v: &mut u32) -> CheckpointResult<()> {
+        let start = self.offset();
+        self.a.u32(name, v)?;
+        self.compare(name, start, v, ByteReader::get_u32)
+    }
+
+    fn u64(&mut self, name: &'static str, v: &mut u64) -> CheckpointResult<()> {
+        let start = self.offset();
+        self.a.u64(name, v)?;
+        self.compare(name, start, v, ByteReader::get_u64)
     }
 
     /// Bit-exact comparison: the snapshot contract is bit-identity, so
     /// `-0.0` vs `0.0` or differing NaN payloads are real divergences.
-    fn f64(&mut self, name: impl FnOnce() -> String) -> Step<f64> {
-        let (a, b) = (self.a.get_f64()?, self.b.get_f64()?);
-        if a.to_bits() != b.to_bits() {
-            return Err(Self::diverged(name, a, b));
-        }
-        Ok(a)
+    fn f64(&mut self, name: &'static str, v: &mut f64) -> CheckpointResult<()> {
+        let start = self.offset();
+        self.a.f64(name, v)?;
+        self.compare(name, start, v, ByteReader::get_f64)
     }
 
-    fn f64_slice(&mut self, name: impl Fn() -> String) -> Step<()> {
-        let (a, b) = (self.a.get_f64_vec()?, self.b.get_f64_vec()?);
-        if a.len() != b.len() {
-            return Err(Self::diverged(
-                || format!("{}.len", name()),
-                a.len(),
-                b.len(),
-            ));
-        }
-        for (i, (va, vb)) in a.iter().zip(&b).enumerate() {
-            if va.to_bits() != vb.to_bits() {
-                return Err(Self::diverged(|| format!("{}[{i}]", name()), va, vb));
-            }
-        }
+    fn len(
+        &mut self,
+        name: &'static str,
+        n: &mut usize,
+        min_item_bytes: usize,
+    ) -> CheckpointResult<()> {
+        let start = self.offset();
+        self.a.len(name, n, min_item_bytes)?;
+        self.enter(name, None);
+        self.compare("len", start, n, ByteReader::get_usize)?;
+        self.leave();
         Ok(())
     }
 
-    fn resources(&mut self, name: impl Fn() -> String) -> Step<()> {
-        let (a, b) = (self.a.get_resources()?, self.b.get_resources()?);
-        for kind in ResourceKind::ALL {
-            if a[kind].to_bits() != b[kind].to_bits() {
-                return Err(Self::diverged(
-                    || format!("{}.{kind}", name()),
-                    a[kind],
-                    b[kind],
-                ));
-            }
-        }
-        Ok(())
+    fn enter(&mut self, name: &'static str, index: Option<usize>) {
+        self.path.push((name, index));
     }
 
-    fn vm_spec(&mut self, name: impl Fn() -> String) -> Step<()> {
-        let (a, b) = (self.a.get_vm_spec()?, self.b.get_vm_spec()?);
-        if a != b {
-            return Err(Self::diverged(name, format!("{a:?}"), format!("{b:?}")));
-        }
-        Ok(())
+    fn leave(&mut self) {
+        self.path.pop();
     }
-}
-
-/// Mirror of `ClusterSimulation::serialize_state`.
-fn walk_snapshot(l: &mut Lockstep<'_>) -> Step<()> {
-    l.f64(|| "at_secs".into())?;
-    let workload_len = l.usize(|| "workload_len".into())?;
-    l.u64(|| "events_processed".into())?;
-    let queued = l.usize(|| "queue.len".into())?;
-    for i in 0..queued {
-        walk_queued_event(l, i)?;
-    }
-    walk_manager(l)?;
-    if l.bool(|| "autoscaler.present".into())? {
-        walk_autoscaler(l)?;
-    }
-    for i in 0..workload_len {
-        walk_vm_record(l, i)?;
-    }
-    let migrations = l.usize(|| "migration_log.len".into())?;
-    for i in 0..migrations {
-        let p = move || format!("migration_log[{i}]");
-        l.f64(|| format!("{}.time_secs", p()))?;
-        l.u64(|| format!("{}.vm", p()))?;
-        l.u32(|| format!("{}.from", p()))?;
-        l.u32(|| format!("{}.to", p()))?;
-        l.f64(|| format!("{}.duration_secs", p()))?;
-        l.f64(|| format!("{}.volume_mb", p()))?;
-        l.bool(|| format!("{}.back", p()))?;
-    }
-    let samples = l.usize(|| "utilization.len".into())?;
-    for i in 0..samples {
-        l.f64(|| format!("utilization[{i}].time_secs"))?;
-        l.f64(|| format!("utilization[{i}].value"))?;
-    }
-    Ok(())
-}
-
-/// Mirror of `SimEvent::write_snapshot` prefixed with its delivery time.
-fn walk_queued_event(l: &mut Lockstep<'_>, i: usize) -> Step<()> {
-    let p = move || format!("queue[{i}]");
-    l.f64(|| format!("{}.time", p()))?;
-    let kind = l.u8(|| format!("{}.kind", p()))?;
-    match kind {
-        // Departure / Arrival
-        0 | 4 => {
-            l.usize(|| format!("{}.vm_index", p()))?;
-        }
-        // MigrationComplete
-        1 => {
-            l.u64(|| format!("{}.migration", p()))?;
-        }
-        // CapacityRestore / CapacityReclaim
-        2 | 3 => {
-            l.u32(|| format!("{}.server", p()))?;
-            l.f64(|| format!("{}.available_fraction", p()))?;
-        }
-        // ScaleOut / ScaleIn
-        5 | 6 => {
-            l.u32(|| format!("{}.app", p()))?;
-        }
-        // UtilizationTick carries no payload
-        7 => {}
-        other => {
-            return Err(Stop::Corrupt(CheckpointError::Corrupt(format!(
-                "unknown SimEvent discriminant {other} in queue[{i}]"
-            ))))
-        }
-    }
-    Ok(())
-}
-
-/// Mirror of `ClusterManager::write_snapshot`.
-fn walk_manager(l: &mut Lockstep<'_>) -> Step<()> {
-    let servers = l.usize(|| "manager.servers.len".into())?;
-    for s in 0..servers {
-        l.resources(move || format!("manager.server[{s}].capacity"))?;
-        let domains = l.usize(move || format!("manager.server[{s}].domains.len"))?;
-        for d in 0..domains {
-            walk_domain(l, s, d)?;
-        }
-    }
-    l.f64_slice(|| "manager.last_reclaim_secs".into())?;
-    for map in ["vm_location", "migration_origin"] {
-        let entries = l.usize(move || format!("manager.{map}.len"))?;
-        for i in 0..entries {
-            l.u64(move || format!("manager.{map}[{i}].vm"))?;
-            l.u64(move || format!("manager.{map}[{i}].server_index"))?;
-        }
-    }
-    let flights = l.usize(|| "manager.in_flight.len".into())?;
-    for i in 0..flights {
-        let p = move || format!("manager.in_flight[{i}]");
-        l.u64(|| format!("{}.id", p()))?;
-        l.u64(|| format!("{}.vm", p()))?;
-        l.usize(|| format!("{}.source", p()))?;
-        l.usize(|| format!("{}.dest", p()))?;
-        l.f64(|| format!("{}.start_secs", p()))?;
-        l.f64(|| format!("{}.finish_secs", p()))?;
-        l.f64(|| format!("{}.deadline_secs", p()))?;
-        l.f64(|| format!("{}.volume_mb", p()))?;
-        l.bool(|| format!("{}.back", p()))?;
-    }
-    l.u64(|| "manager.next_migration_id".into())?;
-    let ledgers = l.usize(|| "scheduler.ledgers.len".into())?;
-    for i in 0..ledgers {
-        l.f64_slice(move || format!("scheduler.ledger[{i}]"))?;
-    }
-    l.usize(|| "scheduler.booked".into())?;
-    l.usize(|| "scheduler.rejected".into())?;
-    l.f64(|| "scheduler.total_queue_wait_secs".into())?;
-    for counter in [
-        "admitted_free",
-        "admitted_with_deflation",
-        "admitted_with_preemption",
-        "rejected",
-        "preempted_vms",
-    ] {
-        l.usize(move || format!("manager.admission.{counter}"))?;
-    }
-    for counter in [
-        "reclaim_events",
-        "restore_events",
-        "absorbed_by_deflation",
-        "migrations",
-        "migrations_back",
-        "migration_aborts",
-        "migration_rejections",
-        "reclamation_victims",
-    ] {
-        l.usize(move || format!("manager.transient.{counter}"))?;
-    }
-    let dirty = l.usize(|| "placement_index.dirty_len".into())?;
-    for i in 0..dirty {
-        l.usize(move || format!("placement_index.dirty[{i}]"))?;
-    }
-    Ok(())
-}
-
-/// Mirror of `Domain::write_snapshot` (spec, mechanism, guest, cgroups,
-/// history, parked flag, cache clock).
-fn walk_domain(l: &mut Lockstep<'_>, s: usize, d: usize) -> Step<()> {
-    let p = move || format!("manager.server[{s}].domain[{d}]");
-    l.vm_spec(|| format!("{}.vm_spec", p()))?;
-    l.u8(|| format!("{}.mechanism", p()))?;
-    l.u32(|| format!("{}.guest.boot_vcpus", p()))?;
-    l.u32(|| format!("{}.guest.online_vcpus", p()))?;
-    l.f64(|| format!("{}.guest.boot_memory_mb", p()))?;
-    l.f64(|| format!("{}.guest.plugged_memory_mb", p()))?;
-    l.f64(|| format!("{}.guest.rss_mb", p()))?;
-    l.f64(|| format!("{}.guest.page_cache_mb", p()))?;
-    l.f64(|| format!("{}.guest.page_cache_target_mb", p()))?;
-    l.f64(|| format!("{}.guest.cpu_busy_fraction", p()))?;
-    l.resources(|| format!("{}.usages", p()))?;
-    l.resources(|| format!("{}.limits", p()))?;
-    l.f64_slice(|| format!("{}.cpu_util_history", p()))?;
-    l.bool(|| format!("{}.parked", p()))?;
-    l.f64(|| format!("{}.cache_advance_secs", p()))?;
-    Ok(())
-}
-
-/// Mirror of `Autoscaler::write_snapshot`.
-fn walk_autoscaler(l: &mut Lockstep<'_>) -> Step<()> {
-    let apps = l.usize(|| "autoscaler.apps.len".into())?;
-    for a in 0..apps {
-        let p = move || format!("autoscaler.app[{a}]");
-        let members = l.usize(|| format!("{}.members.len", p()))?;
-        for m in 0..members {
-            l.u64(|| format!("{}.member[{m}].vm", p()))?;
-            l.bool(|| format!("{}.member[{m}].parked", p()))?;
-            l.f64(|| format!("{}.member[{m}].serving_from", p()))?;
-        }
-        l.u64(|| format!("{}.launched", p()))?;
-        l.f64(|| format!("{}.cooldown_until", p()))?;
-    }
-    for counter in [
-        "scale_out_actions",
-        "scale_in_actions",
-        "launches",
-        "launch_failures",
-        "reinflations",
-        "parks",
-        "retirements",
-        "replicas_lost",
-        "ticks",
-        "overload_ticks",
-    ] {
-        l.usize(move || format!("autoscaler.stats.{counter}"))?;
-    }
-    l.f64(|| "autoscaler.stats.setpoint_error_sum".into())?;
-    l.f64_slice(|| "autoscaler.stats.latency.response_times".into())?;
-    l.usize(|| "autoscaler.stats.latency.dropped".into())?;
-    l.usize(|| "autoscaler.stats.final_active".into())?;
-    l.usize(|| "autoscaler.stats.final_parked".into())?;
-    Ok(())
-}
-
-/// Mirror of the per-VM record block of `serialize_state`.
-fn walk_vm_record(l: &mut Lockstep<'_>, i: usize) -> Step<()> {
-    let p = move || format!("record[{i}]");
-    l.bool(|| format!("{}.running", p()))?;
-    let outcome = l.u8(|| format!("{}.outcome", p()))?;
-    match outcome {
-        // Completed / Rejected carry no payload
-        0 | 1 => {}
-        // Preempted / Evicted carry their timestamp
-        2 | 3 => {
-            l.f64(|| format!("{}.outcome.at_secs", p()))?;
-        }
-        other => {
-            return Err(Stop::Corrupt(CheckpointError::Corrupt(format!(
-                "unknown VmOutcome discriminant {other} in record[{i}]"
-            ))))
-        }
-    }
-    let history = l.usize(|| format!("{}.allocation_history.len", p()))?;
-    for j in 0..history {
-        l.f64(|| format!("{}.allocation_history[{j}].time_secs", p()))?;
-        l.f64(|| format!("{}.allocation_history[{j}].fraction", p()))?;
-    }
-    Ok(())
 }
 
 #[cfg(test)]

@@ -53,7 +53,7 @@ use crate::audit::AuditFinding;
 use crate::placement::PlacementIndex;
 use crate::scheduler::{SchedulerStats, TransferDecision, TransferRequest, TransferScheduler};
 use deflate_autoscale::ElasticCluster;
-use deflate_core::checkpoint::{ByteReader, ByteWriter, CheckpointError, CheckpointResult};
+use deflate_core::checkpoint::{CheckpointError, CheckpointResult, StateVisitor};
 use deflate_core::error::{DeflateError, Result};
 use deflate_core::placement::{
     BestFit, CosineFitness, FirstFit, PartitionScheme, PartitionedPlacement, PlacementDecision,
@@ -64,7 +64,7 @@ use deflate_core::resources::{ResourceKind, ResourceVector};
 use deflate_core::shard::ShardConfig;
 use deflate_core::vm::{ServerId, VmId, VmSpec};
 use deflate_hypervisor::controller::{AdmissionOutcome, LocalController};
-use deflate_hypervisor::domain::{CacheRegrowthModel, DeflationMechanism, Domain};
+use deflate_hypervisor::domain::{CacheRegrowthModel, DeflationMechanism};
 use deflate_hypervisor::migration::MigrationCostModel;
 use deflate_hypervisor::server::SimServer;
 use deflate_telemetry::{MemoryLedger, Phase, TelemetrySink};
@@ -327,7 +327,7 @@ impl CapacityChangeOutcome {
 }
 
 /// One transfer currently on the wire.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 struct InFlight {
     vm: VmId,
     source: usize,
@@ -430,19 +430,38 @@ pub struct ClusterManager {
     pool: Option<Arc<WorkerPool>>,
 }
 
+/// The deflation policy every local controller runs under `mode`.
+fn local_policy(mode: &ReclamationMode) -> Arc<dyn DeflationPolicy> {
+    match mode {
+        ReclamationMode::Deflation(p) => Arc::clone(p),
+        // The preemption and migration-only baselines never deflate for
+        // arrivals, but the local controllers need a policy for
+        // reinflation after departures.
+        ReclamationMode::Preemption | ReclamationMode::MigrationOnly => {
+            Arc::new(deflate_core::policy::ProportionalDeflation::default())
+        }
+    }
+}
+
+/// A `VmId`-keyed server-index map as `(vm, server index)` entries in
+/// ascending VM order: the canonical snapshot order.
+fn sorted_entries(map: &HashMap<VmId, usize>) -> Vec<(u64, usize)> {
+    let mut entries: Vec<(u64, usize)> = map.iter().map(|(vm, &idx)| (vm.0, idx)).collect();
+    entries.sort_unstable();
+    entries
+}
+
+/// The snapshot schema of one [`sorted_entries`] entry.
+fn visit_entry(v: &mut impl StateVisitor, entry: &mut (u64, usize)) -> CheckpointResult<()> {
+    v.u64("vm", &mut entry.0)?;
+    v.usize("server_index", &mut entry.1)
+}
+
 impl ClusterManager {
     /// Build a cluster with the given configuration and reclamation mode.
     pub fn new(config: &ClusterConfig, mode: ReclamationMode) -> Self {
         let partition_assignment = config.partitions.assign_servers(config.num_servers);
-        let policy: Arc<dyn DeflationPolicy> = match &mode {
-            ReclamationMode::Deflation(p) => Arc::clone(p),
-            // The preemption and migration-only baselines never deflate for
-            // arrivals, but the local controllers need a policy for
-            // reinflation after departures.
-            ReclamationMode::Preemption | ReclamationMode::MigrationOnly => {
-                Arc::new(deflate_core::policy::ProportionalDeflation::default())
-            }
-        };
+        let policy = local_policy(&mode);
         let controllers: Vec<LocalController> = (0..config.num_servers)
             .map(|i| {
                 let server = SimServer::new(ServerId(i as u32), config.server_capacity)
@@ -2037,185 +2056,129 @@ impl ClusterManager {
         id
     }
 
-    /// Serialize the manager's **dynamic** state for an engine checkpoint:
-    /// per-server capacities and resident domains (in `VmId` order — the
-    /// `BTreeMap` iteration order), the reclaim-hysteresis clocks, the VM
-    /// location and migration-origin maps (sorted by VM id), the in-flight
+    /// The manager's snapshot schema: its **dynamic** state — per-server
+    /// capacities and resident domains (in `VmId` order — the `BTreeMap`
+    /// iteration order), the reclaim-hysteresis clocks, the VM location
+    /// and migration-origin maps (sorted by VM id), the in-flight
     /// transfers (sorted by migration id), the transfer scheduler's
-    /// ledgers, the admission/transient counters and the placement index's
-    /// queued dirty marks. Static configuration (placement policy,
-    /// partitions, mechanism, cost model, restore policy, cache regrowth,
-    /// telemetry, engine, pool) is **not** written — the restoring side
-    /// rebuilds it from the same [`ClusterConfig`] and builder calls,
-    /// which is also what lets a fork restore under a *different*
-    /// [`TransferPolicy`]. Every map is emitted in sorted order, so the
-    /// bytes are independent of `HashMap` layout, shard count and host.
+    /// ledgers, the admission/transient counters and the placement
+    /// index's queued dirty marks. Static configuration (placement
+    /// policy, partitions, mechanism, cost model, restore policy, cache
+    /// regrowth, telemetry, engine, pool) is **not** visited — the
+    /// restoring side rebuilds it from the same [`ClusterConfig`] and
+    /// builder calls, which is also what lets a fork restore under a
+    /// *different* [`TransferPolicy`]. Every map is visited in sorted
+    /// order, so the bytes are independent of `HashMap` layout, shard
+    /// count and host.
     ///
-    /// Must be called at an event boundary: `staged` transfers only exist
-    /// within one capacity event and are never snapshotted.
-    pub fn write_snapshot(&self, w: &mut ByteWriter) {
+    /// The snapshot defines the server count: a restore onto a cluster of
+    /// another size leaves [`num_servers`](Self::num_servers) at the
+    /// snapshot's, for the caller to reject. On restore the placement
+    /// index is rebuilt from the restored servers and the snapshot's dirty
+    /// marks are replayed onto it.
+    ///
+    /// Must be visited at an event boundary: `staged` transfers only
+    /// exist within one capacity event and are never snapshotted.
+    pub fn visit_state(&mut self, v: &mut impl StateVisitor) -> CheckpointResult<()> {
         debug_assert!(
             self.staged.is_empty(),
             "checkpoints are taken between manager calls only"
         );
-        w.put_usize(self.controllers.len());
-        for controller in &self.controllers {
-            let server = controller.server();
-            w.put_resources(&server.capacity);
-            w.put_usize(server.domains().count());
-            for domain in server.domains() {
-                domain.write_snapshot(w);
-            }
+        let mut servers = self.controllers.len();
+        v.len("server", &mut servers, 40)?;
+        self.controllers.truncate(servers);
+        if servers > self.controllers.len() {
+            // Only a walk without the configuration (the divergence diff)
+            // keeps blank servers; a restore rejects the count mismatch.
+            let policy = local_policy(&self.mode);
+            let (capacity, mechanism) = (self.base_capacity, self.mechanism);
+            let blank = (self.controllers.len()..servers).map(|i| {
+                let server = SimServer::new(ServerId(i as u32), capacity);
+                LocalController::new(server, Arc::clone(&policy), mechanism)
+            });
+            self.controllers.extend(blank);
         }
-        w.put_f64_slice(&self.last_reclaim_secs);
-        let mut locations: Vec<(u64, u64)> = self
-            .vm_location
-            .iter()
-            .map(|(vm, &idx)| (vm.0, idx as u64))
-            .collect();
-        locations.sort_unstable();
-        w.put_usize(locations.len());
-        for (vm, idx) in locations {
-            w.put_u64(vm);
-            w.put_u64(idx);
+        for (s, controller) in self.controllers.iter_mut().enumerate() {
+            v.item("server", s, |v| controller.server_mut().visit_state(v))?;
         }
-        let mut origins: Vec<(u64, u64)> = self
-            .migration_origin
-            .iter()
-            .map(|(vm, &idx)| (vm.0, idx as u64))
-            .collect();
-        origins.sort_unstable();
-        w.put_usize(origins.len());
-        for (vm, idx) in origins {
-            w.put_u64(vm);
-            w.put_u64(idx);
-        }
+        v.f64s("last_reclaim_secs", &mut self.last_reclaim_secs)?;
+        let mut locations = sorted_entries(&self.vm_location);
+        v.seq("vm_location", &mut locations, 16, visit_entry)?;
+        let mut origins = sorted_entries(&self.migration_origin);
+        v.seq("migration_origin", &mut origins, 16, visit_entry)?;
         let mut flights: Vec<(u64, InFlight)> =
             self.in_flight.iter().map(|(&id, &f)| (id, f)).collect();
         flights.sort_unstable_by_key(|&(id, _)| id);
-        w.put_usize(flights.len());
-        for (id, f) in flights {
-            w.put_u64(id);
-            w.put_u64(f.vm.0);
-            w.put_usize(f.source);
-            w.put_usize(f.dest);
-            w.put_f64(f.start_secs);
-            w.put_f64(f.finish_secs);
-            w.put_f64(f.deadline_secs);
-            w.put_f64(f.volume_mb);
-            w.put_bool(f.back);
+        v.seq("in_flight", &mut flights, 65, |v, (id, f)| {
+            v.u64("id", id)?;
+            v.u64("vm", &mut f.vm.0)?;
+            v.usize("source", &mut f.source)?;
+            v.usize("dest", &mut f.dest)?;
+            v.f64("start_secs", &mut f.start_secs)?;
+            v.f64("finish_secs", &mut f.finish_secs)?;
+            v.f64("deadline_secs", &mut f.deadline_secs)?;
+            v.f64("volume_mb", &mut f.volume_mb)?;
+            v.bool("back", &mut f.back)
+        })?;
+        v.u64("next_migration_id", &mut self.next_migration_id)?;
+        v.scope("scheduler", |v| self.scheduler.visit_state(v))?;
+        v.scope("admission", |v| {
+            let c = &mut self.counters;
+            v.usize("admitted_free", &mut c.admitted_free)?;
+            v.usize("admitted_with_deflation", &mut c.admitted_with_deflation)?;
+            v.usize("admitted_with_preemption", &mut c.admitted_with_preemption)?;
+            v.usize("rejected", &mut c.rejected)?;
+            v.usize("preempted_vms", &mut c.preempted_vms)
+        })?;
+        v.scope("transient", |v| {
+            let t = &mut self.transient;
+            v.usize("reclaim_events", &mut t.reclaim_events)?;
+            v.usize("restore_events", &mut t.restore_events)?;
+            v.usize("absorbed_by_deflation", &mut t.absorbed_by_deflation)?;
+            v.usize("migrations", &mut t.migrations)?;
+            v.usize("migrations_back", &mut t.migrations_back)?;
+            v.usize("migration_aborts", &mut t.migration_aborts)?;
+            v.usize("migration_rejections", &mut t.migration_rejections)?;
+            v.usize("reclamation_victims", &mut t.reclamation_victims)
+        })?;
+        let mut dirty = self.index.dirty_indices();
+        v.seq("placement_dirty", &mut dirty, 8, |v, idx| v.usize("", idx))?;
+        if !v.restoring() {
+            return Ok(());
         }
-        w.put_u64(self.next_migration_id);
-        self.scheduler.write_snapshot(w);
-        w.put_usize(self.counters.admitted_free);
-        w.put_usize(self.counters.admitted_with_deflation);
-        w.put_usize(self.counters.admitted_with_preemption);
-        w.put_usize(self.counters.rejected);
-        w.put_usize(self.counters.preempted_vms);
-        w.put_usize(self.transient.reclaim_events);
-        w.put_usize(self.transient.restore_events);
-        w.put_usize(self.transient.absorbed_by_deflation);
-        w.put_usize(self.transient.migrations);
-        w.put_usize(self.transient.migrations_back);
-        w.put_usize(self.transient.migration_aborts);
-        w.put_usize(self.transient.migration_rejections);
-        w.put_usize(self.transient.reclamation_victims);
-        let dirty = self.index.dirty_indices();
-        w.put_usize(dirty.len());
-        for idx in dirty {
-            w.put_usize(idx);
-        }
-    }
 
-    /// Restore [`write_snapshot`](Self::write_snapshot) state onto a
-    /// **freshly constructed** manager (same [`ClusterConfig`], mode and
-    /// builder overrides — the transfer policy in effect is kept, so a
-    /// fork may have swapped it before restoring). The placement index is
-    /// rebuilt from the restored servers and the snapshot's dirty marks
-    /// are replayed onto it.
-    pub fn read_snapshot(&mut self, r: &mut ByteReader<'_>) -> CheckpointResult<()> {
-        let num_servers = r.get_usize()?;
-        if num_servers != self.controllers.len() {
-            return Err(CheckpointError::Corrupt(format!(
-                "snapshot has {} servers, cluster has {}",
-                num_servers,
-                self.controllers.len()
-            )));
-        }
-        for controller in &mut self.controllers {
-            let server = controller.server_mut();
-            server.capacity = r.get_resources()?;
-            let count = r.get_usize()?;
-            for _ in 0..count {
-                server.restore_domain(Domain::read_snapshot(r)?);
+        let per_server = [
+            ("reclaim clocks", self.last_reclaim_secs.len()),
+            ("scheduler ledgers", self.scheduler.ledgers().len()),
+        ];
+        for (what, len) in per_server {
+            if len != servers {
+                return Err(CheckpointError::Corrupt(format!(
+                    "{what} for {len} servers, expected {servers}"
+                )));
             }
         }
-        let last_reclaim = r.get_f64_vec()?;
-        if last_reclaim.len() != num_servers {
-            return Err(CheckpointError::Corrupt(format!(
-                "reclaim clocks for {} servers, expected {}",
-                last_reclaim.len(),
-                num_servers
-            )));
+        let server_indices = locations
+            .iter()
+            .chain(&origins)
+            .map(|&(_, idx)| idx)
+            .chain(flights.iter().flat_map(|(_, f)| [f.source, f.dest]))
+            .chain(dirty.iter().copied());
+        for idx in server_indices {
+            if idx >= servers {
+                return Err(CheckpointError::Corrupt(format!(
+                    "server index {idx} out of range for {servers} servers"
+                )));
+            }
         }
-        self.last_reclaim_secs = last_reclaim;
-        let n = r.get_usize()?;
-        self.vm_location = HashMap::with_capacity(n);
-        for _ in 0..n {
-            let vm = VmId(r.get_u64()?);
-            let idx = r.get_u64()? as usize;
-            self.vm_location.insert(vm, idx);
-        }
-        let n = r.get_usize()?;
-        self.migration_origin = HashMap::with_capacity(n);
-        for _ in 0..n {
-            let vm = VmId(r.get_u64()?);
-            let idx = r.get_u64()? as usize;
-            self.migration_origin.insert(vm, idx);
-        }
-        let n = r.get_usize()?;
-        self.in_flight = HashMap::with_capacity(n);
-        self.in_flight_by_vm = HashMap::with_capacity(n);
-        for _ in 0..n {
-            let id = r.get_u64()?;
-            let flight = InFlight {
-                vm: VmId(r.get_u64()?),
-                source: r.get_usize()?,
-                dest: r.get_usize()?,
-                start_secs: r.get_f64()?,
-                finish_secs: r.get_f64()?,
-                deadline_secs: r.get_f64()?,
-                volume_mb: r.get_f64()?,
-                back: r.get_bool()?,
-            };
-            self.in_flight_by_vm.insert(flight.vm, id);
-            self.in_flight.insert(id, flight);
-        }
-        self.next_migration_id = r.get_u64()?;
-        self.scheduler = TransferScheduler::read_snapshot(r, self.scheduler.policy())?;
-        self.counters = AdmissionCounters {
-            admitted_free: r.get_usize()?,
-            admitted_with_deflation: r.get_usize()?,
-            admitted_with_preemption: r.get_usize()?,
-            rejected: r.get_usize()?,
-            preempted_vms: r.get_usize()?,
-        };
-        self.transient = TransientCounters {
-            reclaim_events: r.get_usize()?,
-            restore_events: r.get_usize()?,
-            absorbed_by_deflation: r.get_usize()?,
-            migrations: r.get_usize()?,
-            migrations_back: r.get_usize()?,
-            migration_aborts: r.get_usize()?,
-            migration_rejections: r.get_usize()?,
-            reclamation_victims: r.get_usize()?,
-        };
+        self.vm_location = locations.into_iter().map(|(vm, i)| (VmId(vm), i)).collect();
+        self.migration_origin = origins.into_iter().map(|(vm, i)| (VmId(vm), i)).collect();
+        self.in_flight_by_vm = flights.iter().map(|&(id, f)| (f.vm, id)).collect();
+        self.in_flight = flights.into_iter().collect();
         self.staged.clear();
         self.index =
             PlacementIndex::new(self.controllers.iter().map(|c| c.server().view()).collect());
-        let dirty = r.get_usize()?;
-        for _ in 0..dirty {
-            let idx = r.get_usize()?;
+        for idx in dirty {
             self.index.mark_dirty(idx);
         }
         Ok(())

@@ -11,13 +11,14 @@ use deflate_traces::timeseries::TimeSeries;
 use serde::{Deserialize, Serialize};
 
 /// What ultimately happened to a VM in the simulation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub enum VmOutcome {
     /// The VM ran from arrival to departure (possibly deflated part of the
     /// time).
     Completed,
     /// The cluster could not make room for the VM at arrival — a resource
     /// reclamation failure (Figure 20's failure event for deflatable VMs).
+    #[default]
     Rejected,
     /// The VM was killed by the preemption baseline at the given time.
     Preempted {
@@ -33,7 +34,7 @@ pub enum VmOutcome {
 }
 
 /// The full history of one VM across the simulation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct VmRecord {
     /// The VM's specification.
     pub spec: VmSpec,
@@ -156,7 +157,7 @@ impl VmRecord {
 /// fallback, or migrate-back after a restitution). Recorded when the
 /// transfer *completes*; aborted transfers appear as evictions and in
 /// [`TransientCounters::migration_aborts`] instead.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct MigrationEvent {
     /// Simulation time the migration completed, seconds. With a costed
     /// migration model this is the end of the page transfer, not its start.

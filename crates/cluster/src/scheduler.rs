@@ -30,7 +30,7 @@
 //! batch, which is exactly the set of transfers whose start times are
 //! still negotiable.
 
-use deflate_core::checkpoint::{ByteReader, ByteWriter, CheckpointResult};
+use deflate_core::checkpoint::{CheckpointResult, StateVisitor};
 use deflate_core::policy::{TransferOrdering, TransferPolicy};
 use deflate_core::vm::VmId;
 use serde::{Deserialize, Serialize};
@@ -153,41 +153,21 @@ impl TransferScheduler {
         &mut self.reservations[idx]
     }
 
-    /// Serialize the scheduler's *dynamic* state — the per-server
-    /// reservation ledgers and the accumulated stats — for an engine
-    /// checkpoint. The policy is deliberately not written: it is
-    /// configuration, supplied again on restore, which is what lets a
-    /// fork resume the same in-flight ledgers under a *different*
-    /// [`TransferPolicy`].
-    pub fn write_snapshot(&self, w: &mut ByteWriter) {
-        w.put_usize(self.reservations.len());
-        for ledger in &self.reservations {
-            w.put_f64_slice(ledger);
-        }
-        w.put_usize(self.stats.booked);
-        w.put_usize(self.stats.rejected);
-        w.put_f64(self.stats.total_queue_wait_secs);
-    }
-
-    /// Rebuild a scheduler from [`write_snapshot`](Self::write_snapshot)
-    /// bytes under the given policy, preserving ledgers and stats
-    /// bit-identically.
-    pub fn read_snapshot(r: &mut ByteReader<'_>, policy: TransferPolicy) -> CheckpointResult<Self> {
-        let num_servers = r.get_usize()?;
-        let mut reservations = Vec::with_capacity(num_servers);
-        for _ in 0..num_servers {
-            reservations.push(r.get_f64_vec()?);
-        }
-        let stats = SchedulerStats {
-            booked: r.get_usize()?,
-            rejected: r.get_usize()?,
-            total_queue_wait_secs: r.get_f64()?,
-        };
-        Ok(TransferScheduler {
-            policy,
-            reservations,
-            stats,
-        })
+    /// The scheduler's snapshot schema: its *dynamic* state — the
+    /// per-server reservation ledgers and the accumulated stats. The
+    /// policy is deliberately not visited: it is configuration, supplied
+    /// again on restore, which is what lets a fork resume the same
+    /// in-flight ledgers under a *different* [`TransferPolicy`].
+    pub fn visit_state(&mut self, v: &mut impl StateVisitor) -> CheckpointResult<()> {
+        v.seq("ledger", &mut self.reservations, 8, |v, ledger| {
+            v.f64s("", ledger)
+        })?;
+        v.usize("booked", &mut self.stats.booked)?;
+        v.usize("rejected", &mut self.stats.rejected)?;
+        v.f64(
+            "total_queue_wait_secs",
+            &mut self.stats.total_queue_wait_secs,
+        )
     }
 
     /// Book one decision batch: grant (or refuse) a slot to every request,

@@ -58,12 +58,14 @@ use crate::metrics::{MigrationEvent, RunStats, SimResult, VmOutcome, VmRecord};
 use crate::spec::WorkloadVm;
 use deflate_autoscale::{Autoscaler, ElasticApp};
 use deflate_core::audit::AuditSpec;
-use deflate_core::checkpoint::{ByteReader, ByteWriter, CheckpointError, CheckpointResult};
+use deflate_core::checkpoint::{
+    ByteReader, ByteWriter, CheckpointError, CheckpointResult, StateVisitor,
+};
 use deflate_core::placement::PlacementEngine;
 use deflate_core::policy::{AutoscalePolicy, RestorePolicy, TransferPolicy};
 use deflate_core::shard::ShardConfig;
 use deflate_core::telemetry::TelemetrySpec;
-use deflate_core::vm::{ServerId, VmId};
+use deflate_core::vm::VmId;
 use deflate_hypervisor::domain::CacheRegrowthModel;
 use deflate_hypervisor::migration::MigrationCostModel;
 use deflate_telemetry::{EventField, MemoryLedger, Phase, TelemetryEventKind, TelemetrySink};
@@ -117,6 +119,168 @@ struct EngineState {
     /// enables at least one checker. Pure observer: never serialized into
     /// snapshots, never consulted by any decision path.
     auditor: Option<Auditor>,
+}
+
+impl EngineState {
+    /// The engine's snapshot schema, in layout order: the boundary time,
+    /// the workload length, the processed-event count, the pending events
+    /// in the queue's pop order, the cluster manager, the optional
+    /// autoscaler, each VM's running flag, outcome and allocation history,
+    /// the migration log and the utilisation series.
+    ///
+    /// Restoring rebuilds the queue through the ordinary sharded
+    /// construction — events are stored in the canonical pop order and
+    /// routing is content-addressed, so any shard count reproduces the
+    /// same pops. The snapshot defines every shape (workload length,
+    /// server count, autoscaler apps); [`ClusterSimulation::resume`]
+    /// then rejects shapes that are not its own.
+    fn visit_state(
+        &mut self,
+        v: &mut impl StateVisitor,
+        at_secs: &mut f64,
+        telemetry: &TelemetrySink,
+    ) -> CheckpointResult<()> {
+        v.f64("at_secs", at_secs)?;
+        let mut vms = self.records.len();
+        v.len("workload_len", &mut vms, RECORD_MIN_SNAPSHOT_BYTES)?;
+        v.u64("events_processed", &mut self.events_processed)?;
+        let mut queued = if v.restoring() {
+            Vec::new()
+        } else {
+            self.queue.contents()
+        };
+        v.seq("queue", &mut queued, 9, |v, (time, event)| {
+            v.f64("time", time)?;
+            event.visit_state(v)
+        })?;
+        v.scope("manager", |v| self.manager.visit_state(v))?;
+        let mut autoscaled = self.autoscaler.is_some();
+        v.bool("autoscaler_present", &mut autoscaled)?;
+        if autoscaled != self.autoscaler.is_some() {
+            self.autoscaler = autoscaled.then(Autoscaler::default);
+        }
+        if let Some(autoscaler) = &mut self.autoscaler {
+            v.scope("autoscaler", |v| autoscaler.visit_state(v))?;
+        }
+        self.records.resize_with(vms, VmRecord::default);
+        self.running.resize(vms, false);
+        let records = self.records.iter_mut().zip(&mut self.running);
+        for (i, (record, running)) in records.enumerate() {
+            v.item("record", i, |v| {
+                v.bool("running", running)?;
+                visit_outcome(v, &mut record.outcome)?;
+                v.seq(
+                    "allocation_history",
+                    &mut record.allocation_history,
+                    16,
+                    |v, (t, f)| {
+                        v.f64("time_secs", t)?;
+                        v.f64("fraction", f)
+                    },
+                )
+            })?;
+        }
+        v.seq("migration_log", &mut self.migrations, 41, |v, m| {
+            v.f64("time_secs", &mut m.time_secs)?;
+            v.u64("vm", &mut m.vm.0)?;
+            v.u32("from", &mut m.from.0)?;
+            v.u32("to", &mut m.to.0)?;
+            v.f64("duration_secs", &mut m.duration_secs)?;
+            v.f64("volume_mb", &mut m.volume_mb)?;
+            v.bool("back", &mut m.back)
+        })?;
+        v.seq("utilization", &mut self.utilization, 16, |v, (t, u)| {
+            v.f64("time_secs", t)?;
+            v.f64("value", u)
+        })?;
+        if v.restoring() {
+            let servers = self.manager.num_servers();
+            for (time, event) in &queued {
+                check_queued(*time, event, vms, servers)?;
+            }
+            self.queue = ShardedEventQueue::build_with_workers(
+                self.queue.config(),
+                servers,
+                vms,
+                queued,
+                telemetry,
+                self.pool.as_deref(),
+            );
+        }
+        Ok(())
+    }
+}
+
+/// The smallest snapshot encoding of one VM's record: running flag,
+/// outcome tag and an empty allocation history.
+const RECORD_MIN_SNAPSHOT_BYTES: usize = 10;
+
+/// The snapshot schema of a [`VmOutcome`]: a tag, plus the timestamp of
+/// a preemption or eviction.
+fn visit_outcome(v: &mut impl StateVisitor, outcome: &mut VmOutcome) -> CheckpointResult<()> {
+    let (mut tag, mut at_secs) = match *outcome {
+        VmOutcome::Completed => (0, 0.0),
+        VmOutcome::Rejected => (1, 0.0),
+        VmOutcome::Preempted { at_secs } => (2, at_secs),
+        VmOutcome::Evicted { at_secs } => (3, at_secs),
+    };
+    v.u8("outcome", &mut tag)?;
+    if tag >= 2 {
+        v.f64("outcome_at_secs", &mut at_secs)?;
+    }
+    *outcome = match tag {
+        0 => VmOutcome::Completed,
+        1 => VmOutcome::Rejected,
+        2 => VmOutcome::Preempted { at_secs },
+        3 => VmOutcome::Evicted { at_secs },
+        other => {
+            return Err(CheckpointError::Corrupt(format!(
+                "unknown VmOutcome discriminant {other}"
+            )))
+        }
+    };
+    Ok(())
+}
+
+/// Reject a decoded pending event the engine could not deliver: a
+/// non-finite time, a VM index outside the workload, a server outside the
+/// cluster, or a capacity fraction that is not in `[0, 1]`.
+fn check_queued(time: f64, event: &SimEvent, vms: usize, servers: usize) -> CheckpointResult<()> {
+    let valid = time.is_finite()
+        && match *event {
+            SimEvent::Arrival(i) | SimEvent::Departure(i) => i < vms,
+            SimEvent::CapacityReclaim {
+                server,
+                available_fraction,
+            }
+            | SimEvent::CapacityRestore {
+                server,
+                available_fraction,
+            } => (server.0 as usize) < servers && (0.0..=1.0).contains(&available_fraction),
+            SimEvent::MigrationComplete { .. }
+            | SimEvent::ScaleOut { .. }
+            | SimEvent::ScaleIn { .. }
+            | SimEvent::UtilizationTick => true,
+        };
+    if valid {
+        Ok(())
+    } else {
+        Err(CheckpointError::Corrupt(format!(
+            "queued event {event:?} at {time} is outside the engine's domain"
+        )))
+    }
+}
+
+/// Walk a snapshot's schema with `v` over a blank engine state, so the
+/// bytes alone define every shape — for readers that have no simulation
+/// configuration to restore into, like the divergence diff. Returns the
+/// decoded processed-event count.
+pub(crate) fn visit_detached(v: &mut impl StateVisitor) -> CheckpointResult<u64> {
+    let blank =
+        ClusterSimulation::new(ClusterConfig::paper_default(0), ReclamationMode::Preemption);
+    let mut state = blank.boot(&[]);
+    state.visit_state(v, &mut 0.0, &blank.telemetry)?;
+    Ok(state.events_processed)
 }
 
 impl ClusterSimulation {
@@ -323,7 +487,7 @@ impl ClusterSimulation {
         let _engine_total = self.telemetry.span(Phase::EngineTotal);
         let mut state = self.boot(workload);
         self.drive(workload, &mut state, Some(at_secs));
-        self.serialize_state(workload, &state, at_secs)
+        self.serialize_state(&mut state, at_secs)
     }
 
     /// Restore a [`checkpoint`](Self::checkpoint) snapshot and run the
@@ -356,13 +520,19 @@ impl ClusterSimulation {
         let mut state = self.boot(workload);
         self.restore_state(workload, &mut state, snapshot)?;
         self.drive(workload, &mut state, Some(at_secs));
-        Ok(self.serialize_state(workload, &state, at_secs))
+        Ok(self.serialize_state(&mut state, at_secs))
     }
 
     /// The simulated time a snapshot was taken at, without restoring it.
     pub fn snapshot_time(snapshot: &[u8]) -> CheckpointResult<f64> {
         let mut r = ByteReader::with_header(snapshot)?;
         r.get_f64()
+    }
+
+    /// Whether runs carry an autoscaler: an enabled policy with at least
+    /// one application.
+    fn autoscaling(&self) -> bool {
+        self.autoscale_policy.is_enabled() && !self.elastic_apps.is_empty()
     }
 
     /// Build the engine's working state: the cluster manager, the optional
@@ -389,7 +559,8 @@ impl ClusterSimulation {
         // schedules no scale events and touches no autoscaler state, so it
         // is bit-identical to a run of the engine before autoscaling
         // existed (pinned by the golden regression tests).
-        let autoscaler = (self.autoscale_policy.is_enabled() && !self.elastic_apps.is_empty())
+        let autoscaler = self
+            .autoscaling()
             .then(|| Autoscaler::new(self.autoscale_policy, self.elastic_apps.clone()));
 
         // Schedule every event up front. The queue's deterministic total
@@ -942,76 +1113,20 @@ impl ClusterSimulation {
     }
 
     /// Serialize a paused engine state as versioned snapshot bytes. The
-    /// layout (all little-endian, maps sorted, queue in pop order) is
-    /// golden-pinned by `tests/checkpoint_restore.rs`; changing it
-    /// requires bumping [`deflate_core::checkpoint::SNAPSHOT_VERSION`].
-    /// No wall-clock or otherwise host-dependent value is ever written,
-    /// so two snapshots of the same run at the same boundary are
-    /// byte-identical across machines, shard counts and telemetry modes.
-    fn serialize_state(
-        &self,
-        workload: &[WorkloadVm],
-        state: &EngineState,
-        at_secs: f64,
-    ) -> Vec<u8> {
+    /// layout is [`EngineState::visit_state`]; it is golden-pinned by
+    /// `tests/checkpoint_restore.rs`, and changing it requires bumping
+    /// [`deflate_core::checkpoint::SNAPSHOT_VERSION`].
+    fn serialize_state(&self, state: &mut EngineState, at_secs: f64) -> Vec<u8> {
         let mut w = ByteWriter::with_header();
-        w.put_f64(at_secs);
-        w.put_usize(workload.len());
-        w.put_u64(state.events_processed);
-        let queued = state.queue.contents();
-        w.put_usize(queued.len());
-        for (time, event) in queued {
-            w.put_f64(time);
-            event.write_snapshot(&mut w);
-        }
-        state.manager.write_snapshot(&mut w);
-        w.put_bool(state.autoscaler.is_some());
-        if let Some(autoscaler) = &state.autoscaler {
-            autoscaler.write_snapshot(&mut w);
-        }
-        for (record, &running) in state.records.iter().zip(&state.running) {
-            w.put_bool(running);
-            match record.outcome {
-                VmOutcome::Completed => w.put_u8(0),
-                VmOutcome::Rejected => w.put_u8(1),
-                VmOutcome::Preempted { at_secs } => {
-                    w.put_u8(2);
-                    w.put_f64(at_secs);
-                }
-                VmOutcome::Evicted { at_secs } => {
-                    w.put_u8(3);
-                    w.put_f64(at_secs);
-                }
-            }
-            w.put_usize(record.allocation_history.len());
-            for &(t, f) in &record.allocation_history {
-                w.put_f64(t);
-                w.put_f64(f);
-            }
-        }
-        w.put_usize(state.migrations.len());
-        for m in &state.migrations {
-            w.put_f64(m.time_secs);
-            w.put_u64(m.vm.0);
-            w.put_u32(m.from.0);
-            w.put_u32(m.to.0);
-            w.put_f64(m.duration_secs);
-            w.put_f64(m.volume_mb);
-            w.put_bool(m.back);
-        }
-        w.put_usize(state.utilization.len());
-        for &(t, u) in &state.utilization {
-            w.put_f64(t);
-            w.put_f64(u);
-        }
+        state
+            .visit_state(&mut w, &mut { at_secs }, &self.telemetry)
+            .expect("encoding a snapshot cannot fail");
         w.into_bytes()
     }
 
-    /// Overwrite a freshly booted engine state with a snapshot's contents.
-    /// The queue is rebuilt through the ordinary sharded construction —
-    /// snapshot bytes store events in the canonical pop order, and routing
-    /// is content-addressed, so restoring under any shard count reproduces
-    /// the same pops.
+    /// Overwrite a freshly booted engine state with a snapshot's contents,
+    /// then check that the shapes the snapshot defined — workload length,
+    /// server count, autoscaled applications — are this simulation's.
     fn restore_state(
         &self,
         workload: &[WorkloadVm],
@@ -1019,88 +1134,30 @@ impl ClusterSimulation {
         snapshot: &[u8],
     ) -> CheckpointResult<()> {
         let mut r = ByteReader::with_header(snapshot)?;
-        let _at_secs = r.get_f64()?;
-        let num_vms = r.get_usize()?;
-        if num_vms != workload.len() {
-            return Err(CheckpointError::Corrupt(format!(
-                "snapshot taken over {} workload VMs, restoring with {}",
-                num_vms,
-                workload.len()
-            )));
+        state.visit_state(&mut r, &mut 0.0, &self.telemetry)?;
+        r.finish()?;
+        let shapes = [
+            ("workload VMs", state.records.len(), workload.len()),
+            (
+                "servers",
+                state.manager.num_servers(),
+                self.config.num_servers,
+            ),
+        ];
+        for (what, found, expected) in shapes {
+            if found != expected {
+                return Err(CheckpointError::Corrupt(format!(
+                    "snapshot has {found} {what}, the simulation has {expected}"
+                )));
+            }
         }
-        state.events_processed = r.get_u64()?;
-        let queued = r.get_usize()?;
-        let mut events = Vec::with_capacity(queued);
-        for _ in 0..queued {
-            let time = r.get_f64()?;
-            let event = SimEvent::read_snapshot(&mut r)?;
-            events.push((time, event));
-        }
-        state.queue = ShardedEventQueue::build_with_workers(
-            self.shards,
-            self.config.num_servers,
-            workload.len(),
-            events,
-            &self.telemetry,
-            state.pool.as_deref(),
-        );
-        state.manager.read_snapshot(&mut r)?;
-        let has_autoscaler = r.get_bool()?;
-        if has_autoscaler != state.autoscaler.is_some() {
+        let apps = state.autoscaler.as_ref().map(Autoscaler::app_count);
+        if apps != self.autoscaling().then_some(self.elastic_apps.len()) {
             return Err(CheckpointError::Corrupt(
                 "snapshot and simulation disagree on autoscaling".to_string(),
             ));
         }
-        if let Some(autoscaler) = state.autoscaler.as_mut() {
-            autoscaler.read_snapshot(&mut r)?;
-        }
-        for i in 0..workload.len() {
-            state.running[i] = r.get_bool()?;
-            state.records[i].outcome = match r.get_u8()? {
-                0 => VmOutcome::Completed,
-                1 => VmOutcome::Rejected,
-                2 => VmOutcome::Preempted {
-                    at_secs: r.get_f64()?,
-                },
-                3 => VmOutcome::Evicted {
-                    at_secs: r.get_f64()?,
-                },
-                other => {
-                    return Err(CheckpointError::Corrupt(format!(
-                        "unknown VmOutcome discriminant {other}"
-                    )))
-                }
-            };
-            let points = r.get_usize()?;
-            let mut history = Vec::with_capacity(points);
-            for _ in 0..points {
-                let t = r.get_f64()?;
-                let f = r.get_f64()?;
-                history.push((t, f));
-            }
-            state.records[i].allocation_history = history;
-        }
-        let migrations = r.get_usize()?;
-        state.migrations = Vec::with_capacity(migrations);
-        for _ in 0..migrations {
-            state.migrations.push(MigrationEvent {
-                time_secs: r.get_f64()?,
-                vm: VmId(r.get_u64()?),
-                from: ServerId(r.get_u32()?),
-                to: ServerId(r.get_u32()?),
-                duration_secs: r.get_f64()?,
-                volume_mb: r.get_f64()?,
-                back: r.get_bool()?,
-            });
-        }
-        let samples = r.get_usize()?;
-        state.utilization = Vec::with_capacity(samples);
-        for _ in 0..samples {
-            let t = r.get_f64()?;
-            let u = r.get_f64()?;
-            state.utilization.push((t, u));
-        }
-        r.finish()
+        Ok(())
     }
 
     /// Build the per-VM record skeletons, fanning the spec/trace clones out

@@ -2,13 +2,27 @@
 //! encoding used by `ClusterSimulation::checkpoint` / `resume`.
 //!
 //! The build environment's `serde` is a marker-trait stub, so snapshots
-//! are serialized by hand through [`ByteWriter`] / [`ByteReader`]. The
-//! format contract:
+//! are encoded by hand. The layout is defined **once**: every snapshotted
+//! engine type has a single `visit_state(&mut self, v: &mut impl
+//! StateVisitor)` that lists its fields by name, in layout order. Three
+//! visitors walk those schemas:
+//!
+//! * [`ByteWriter`] encodes the visited fields;
+//! * [`ByteReader`] decodes into them, checking every length prefix
+//!   against the bytes that remain before anything is allocated;
+//! * the divergence diff in `deflate-cluster`'s `bisect` module walks two
+//!   snapshots at once and names the first field whose bits differ.
+//!
+//! Where decoding is not the mirror image of encoding — state the layout
+//! leaves out and the restoring side rebuilds, such as indexes and queues
+//! — the schema does the rebuilding itself when
+//! [`StateVisitor::restoring`] says values came from bytes. The format
+//! contract:
 //!
 //! * Every snapshot starts with [`SNAPSHOT_MAGIC`] and a `u32`
 //!   [`SNAPSHOT_VERSION`]. Readers reject other magics and versions —
 //!   there is no cross-version migration; a version bump invalidates old
-//!   snapshots (and the golden byte digest pinned in
+//!   snapshots (and the golden byte digests pinned in
 //!   `tests/checkpoint_restore.rs` must be updated with it).
 //! * All integers are little-endian fixed width; `usize` travels as
 //!   `u64`; `f64` travels as its IEEE-754 bit pattern (`to_bits`), so
@@ -148,40 +162,10 @@ impl ByteWriter {
         self.buf.extend_from_slice(v.as_bytes());
     }
 
-    /// Write a length-prefixed slice of `f64`s.
-    pub fn put_f64_slice(&mut self, vs: &[f64]) {
-        self.put_usize(vs.len());
-        for &v in vs {
-            self.put_f64(v);
-        }
-    }
-
     /// Write raw bytes without a length prefix (sub-encoders that carry
     /// their own structure).
     pub fn put_bytes(&mut self, bytes: &[u8]) {
         self.buf.extend_from_slice(bytes);
-    }
-
-    /// Write a [`ResourceVector`] as its four components in
-    /// [`ResourceKind::ALL`] order.
-    pub fn put_resources(&mut self, v: &ResourceVector) {
-        for kind in ResourceKind::ALL {
-            self.put_f64(v[kind]);
-        }
-    }
-
-    /// Write a full [`VmSpec`].
-    pub fn put_vm_spec(&mut self, spec: &VmSpec) {
-        self.put_u64(spec.id.0);
-        self.put_u8(match spec.class {
-            VmClass::Interactive => 0,
-            VmClass::DelayInsensitive => 1,
-            VmClass::Unknown => 2,
-        });
-        self.put_resources(&spec.max_allocation);
-        self.put_resources(&spec.min_allocation);
-        self.put_f64(spec.priority.value());
-        self.put_bool(spec.deflatable);
     }
 }
 
@@ -279,57 +263,6 @@ impl<'a> ByteReader<'a> {
             .map_err(|_| CheckpointError::Corrupt("string is not UTF-8".into()))
     }
 
-    /// Read a length-prefixed `f64` vector.
-    pub fn get_f64_vec(&mut self) -> CheckpointResult<Vec<f64>> {
-        let len = self.get_usize()?;
-        let mut out = Vec::with_capacity(len.min(self.remaining() / 8 + 1));
-        for _ in 0..len {
-            out.push(self.get_f64()?);
-        }
-        Ok(out)
-    }
-
-    /// Read a [`ResourceVector`] written by [`ByteWriter::put_resources`].
-    pub fn get_resources(&mut self) -> CheckpointResult<ResourceVector> {
-        Ok(ResourceVector::new(
-            self.get_f64()?,
-            self.get_f64()?,
-            self.get_f64()?,
-            self.get_f64()?,
-        ))
-    }
-
-    /// Read a [`VmSpec`] written by [`ByteWriter::put_vm_spec`].
-    ///
-    /// `Priority::new` clamps, but any priority that was *stored* in a
-    /// spec is already inside the clamp range, so the round-trip is
-    /// bit-exact.
-    pub fn get_vm_spec(&mut self) -> CheckpointResult<VmSpec> {
-        let id = crate::vm::VmId(self.get_u64()?);
-        let class = match self.get_u8()? {
-            0 => VmClass::Interactive,
-            1 => VmClass::DelayInsensitive,
-            2 => VmClass::Unknown,
-            other => {
-                return Err(CheckpointError::Corrupt(format!(
-                    "unknown VmClass discriminant {other}"
-                )))
-            }
-        };
-        let max_allocation = self.get_resources()?;
-        let min_allocation = self.get_resources()?;
-        let priority = Priority::new(self.get_f64()?);
-        let deflatable = self.get_bool()?;
-        Ok(VmSpec {
-            id,
-            class,
-            max_allocation,
-            min_allocation,
-            priority,
-            deflatable,
-        })
-    }
-
     /// Assert every byte was consumed.
     pub fn finish(self) -> CheckpointResult<()> {
         if self.remaining() == 0 {
@@ -337,6 +270,273 @@ impl<'a> ByteReader<'a> {
         } else {
             Err(CheckpointError::TrailingBytes(self.remaining()))
         }
+    }
+}
+
+/// One pass over an engine type's snapshotted fields.
+///
+/// A snapshotted type implements `visit_state(&mut self, v: &mut impl
+/// StateVisitor) -> CheckpointResult<()>` by visiting each field by
+/// name, in layout order; that one method is the type's snapshot schema.
+/// Every primitive takes the field by `&mut`: an encoding visitor reads
+/// it, a decoding visitor overwrites it. Names are `&'static str` and the
+/// encoder and decoder ignore them, so walking a schema never formats a
+/// string; only the divergence diff turns them into dotted paths.
+pub trait StateVisitor {
+    /// `true` when visited values come *from* snapshot bytes. A schema
+    /// then validates what it decoded and rebuilds the state the layout
+    /// leaves out (indexes, queues, clamped views).
+    fn restoring(&self) -> bool;
+
+    /// Visit one byte.
+    fn u8(&mut self, name: &'static str, v: &mut u8) -> CheckpointResult<()>;
+
+    /// Visit a bool (one byte, 0 or 1).
+    fn bool(&mut self, name: &'static str, v: &mut bool) -> CheckpointResult<()>;
+
+    /// Visit a little-endian `u32`.
+    fn u32(&mut self, name: &'static str, v: &mut u32) -> CheckpointResult<()>;
+
+    /// Visit a little-endian `u64`.
+    fn u64(&mut self, name: &'static str, v: &mut u64) -> CheckpointResult<()>;
+
+    /// Visit an `f64` as its exact bit pattern.
+    fn f64(&mut self, name: &'static str, v: &mut f64) -> CheckpointResult<()>;
+
+    /// Visit a collection's length prefix (a `u64`). `min_item_bytes` is
+    /// the smallest encoding of one item: a decoder rejects a length whose
+    /// items could not fit in the bytes that remain, so no later
+    /// allocation is sized by an impossible count.
+    fn len(
+        &mut self,
+        name: &'static str,
+        n: &mut usize,
+        min_item_bytes: usize,
+    ) -> CheckpointResult<()>;
+
+    /// Open a nested scope — a struct field, or item `index` of the
+    /// collection `name` — closed by [`leave`](Self::leave). Only the
+    /// divergence diff tracks scopes.
+    fn enter(&mut self, _name: &'static str, _index: Option<usize>) {}
+
+    /// Close the scope opened by the matching [`enter`](Self::enter).
+    fn leave(&mut self) {}
+
+    /// Visit a `usize` as a `u64`.
+    fn usize(&mut self, name: &'static str, v: &mut usize) -> CheckpointResult<()> {
+        let mut wide = *v as u64;
+        self.u64(name, &mut wide)?;
+        *v = usize::try_from(wide)
+            .map_err(|_| CheckpointError::Corrupt(format!("count {wide} overflows usize")))?;
+        Ok(())
+    }
+
+    /// Visit the fields `visit` lists inside the scope `name`.
+    fn scope<T>(
+        &mut self,
+        name: &'static str,
+        visit: impl FnOnce(&mut Self) -> CheckpointResult<T>,
+    ) -> CheckpointResult<T>
+    where
+        Self: Sized,
+    {
+        self.enter(name, None);
+        let out = visit(self)?;
+        self.leave();
+        Ok(out)
+    }
+
+    /// Visit item `index` of the collection `name`.
+    fn item<T>(
+        &mut self,
+        name: &'static str,
+        index: usize,
+        visit: impl FnOnce(&mut Self) -> CheckpointResult<T>,
+    ) -> CheckpointResult<T>
+    where
+        Self: Sized,
+    {
+        self.enter(name, Some(index));
+        let out = visit(self)?;
+        self.leave();
+        Ok(out)
+    }
+
+    /// Visit a length-prefixed vector. A decoder resizes `items` to the
+    /// decoded length (new items start as `T::default()`) before `visit`
+    /// fills each one.
+    fn seq<T: Default>(
+        &mut self,
+        name: &'static str,
+        items: &mut Vec<T>,
+        min_item_bytes: usize,
+        mut visit: impl FnMut(&mut Self, &mut T) -> CheckpointResult<()>,
+    ) -> CheckpointResult<()>
+    where
+        Self: Sized,
+    {
+        let mut n = items.len();
+        self.len(name, &mut n, min_item_bytes)?;
+        items.reserve_exact(n.saturating_sub(items.len()));
+        items.resize_with(n, T::default);
+        for (i, item) in items.iter_mut().enumerate() {
+            self.item(name, i, |v| visit(v, item))?;
+        }
+        Ok(())
+    }
+
+    /// Visit a length-prefixed vector of `f64`s.
+    fn f64s(&mut self, name: &'static str, vs: &mut Vec<f64>) -> CheckpointResult<()>
+    where
+        Self: Sized,
+    {
+        self.seq(name, vs, 8, |v, x| v.f64("", x))
+    }
+
+    /// Visit a [`ResourceVector`] as its four components in
+    /// [`ResourceKind::ALL`] order.
+    fn resources(&mut self, name: &'static str, r: &mut ResourceVector) -> CheckpointResult<()>
+    where
+        Self: Sized,
+    {
+        self.scope(name, |v| {
+            for kind in ResourceKind::ALL {
+                v.f64(kind.name(), &mut r[kind])?;
+            }
+            Ok(())
+        })
+    }
+
+    /// Visit a full [`VmSpec`]. `Priority::new` clamps, but any priority
+    /// that was *stored* in a spec is already inside the clamp range, so
+    /// the round-trip is bit-exact.
+    fn vm_spec(&mut self, name: &'static str, spec: &mut VmSpec) -> CheckpointResult<()>
+    where
+        Self: Sized,
+    {
+        const CLASSES: [VmClass; 3] = [
+            VmClass::Interactive,
+            VmClass::DelayInsensitive,
+            VmClass::Unknown,
+        ];
+        self.scope(name, |v| {
+            v.u64("id", &mut spec.id.0)?;
+            let mut class = tag_of(&CLASSES, spec.class);
+            v.u8("class", &mut class)?;
+            spec.class = from_tag(&CLASSES, class, "VmClass")?;
+            v.resources("max_allocation", &mut spec.max_allocation)?;
+            v.resources("min_allocation", &mut spec.min_allocation)?;
+            let mut priority = spec.priority.value();
+            v.f64("priority", &mut priority)?;
+            spec.priority = Priority::new(priority);
+            v.bool("deflatable", &mut spec.deflatable)
+        })
+    }
+}
+
+/// The discriminant of `value` in a schema's variant table.
+///
+/// # Panics
+///
+/// Panics when `value` is missing from `table` — a schema bug, not a
+/// property of any input.
+pub fn tag_of<T: PartialEq + fmt::Debug>(table: &[T], value: T) -> u8 {
+    let tag = table
+        .iter()
+        .position(|v| *v == value)
+        .unwrap_or_else(|| panic!("{value:?} missing from its snapshot tag table"));
+    tag as u8
+}
+
+/// The variant a decoded discriminant names in a schema's variant table;
+/// [`CheckpointError::Corrupt`] for a tag outside it.
+pub fn from_tag<T: Copy>(table: &[T], tag: u8, what: &str) -> CheckpointResult<T> {
+    table
+        .get(tag as usize)
+        .copied()
+        .ok_or_else(|| CheckpointError::Corrupt(format!("unknown {what} discriminant {tag}")))
+}
+
+/// The encoding visitor.
+impl StateVisitor for ByteWriter {
+    fn restoring(&self) -> bool {
+        false
+    }
+
+    fn u8(&mut self, _: &'static str, v: &mut u8) -> CheckpointResult<()> {
+        self.put_u8(*v);
+        Ok(())
+    }
+
+    fn bool(&mut self, _: &'static str, v: &mut bool) -> CheckpointResult<()> {
+        self.put_bool(*v);
+        Ok(())
+    }
+
+    fn u32(&mut self, _: &'static str, v: &mut u32) -> CheckpointResult<()> {
+        self.put_u32(*v);
+        Ok(())
+    }
+
+    fn u64(&mut self, _: &'static str, v: &mut u64) -> CheckpointResult<()> {
+        self.put_u64(*v);
+        Ok(())
+    }
+
+    fn f64(&mut self, _: &'static str, v: &mut f64) -> CheckpointResult<()> {
+        self.put_f64(*v);
+        Ok(())
+    }
+
+    fn len(&mut self, _: &'static str, n: &mut usize, _: usize) -> CheckpointResult<()> {
+        self.put_usize(*n);
+        Ok(())
+    }
+}
+
+/// The decoding visitor.
+impl StateVisitor for ByteReader<'_> {
+    fn restoring(&self) -> bool {
+        true
+    }
+
+    fn u8(&mut self, _: &'static str, v: &mut u8) -> CheckpointResult<()> {
+        *v = self.get_u8()?;
+        Ok(())
+    }
+
+    fn bool(&mut self, _: &'static str, v: &mut bool) -> CheckpointResult<()> {
+        *v = self.get_bool()?;
+        Ok(())
+    }
+
+    fn u32(&mut self, _: &'static str, v: &mut u32) -> CheckpointResult<()> {
+        *v = self.get_u32()?;
+        Ok(())
+    }
+
+    fn u64(&mut self, _: &'static str, v: &mut u64) -> CheckpointResult<()> {
+        *v = self.get_u64()?;
+        Ok(())
+    }
+
+    fn f64(&mut self, _: &'static str, v: &mut f64) -> CheckpointResult<()> {
+        *v = self.get_f64()?;
+        Ok(())
+    }
+
+    fn len(
+        &mut self,
+        _: &'static str,
+        n: &mut usize,
+        min_item_bytes: usize,
+    ) -> CheckpointResult<()> {
+        let len = self.get_usize()?;
+        if len > self.remaining() / min_item_bytes.max(1) {
+            return Err(CheckpointError::Truncated);
+        }
+        *n = len;
+        Ok(())
     }
 }
 
@@ -357,7 +557,7 @@ mod tests {
         w.put_f64(f64::INFINITY);
         w.put_f64(1.0 / 3.0);
         w.put_str("héllo");
-        w.put_f64_slice(&[1.5, f64::NEG_INFINITY]);
+        w.f64s("xs", &mut vec![1.5, f64::NEG_INFINITY]).unwrap();
         let bytes = w.into_bytes();
 
         let mut r = ByteReader::new(&bytes);
@@ -372,7 +572,8 @@ mod tests {
         assert_eq!(r.get_f64().unwrap(), f64::INFINITY);
         assert_eq!(r.get_f64().unwrap().to_bits(), (1.0f64 / 3.0).to_bits());
         assert_eq!(r.get_str().unwrap(), "héllo");
-        let vs = r.get_f64_vec().unwrap();
+        let mut vs = Vec::new();
+        r.f64s("xs", &mut vs).unwrap();
         assert_eq!(vs.len(), 2);
         assert_eq!(vs[0], 1.5);
         assert_eq!(vs[1], f64::NEG_INFINITY);
@@ -429,23 +630,56 @@ mod tests {
     #[test]
     fn vm_spec_round_trips_bit_exactly() {
         use crate::vm::{VmClass, VmId, VmSpec};
-        let spec = VmSpec::deflatable(
+        let mut spec = VmSpec::deflatable(
             VmId(99),
             VmClass::DelayInsensitive,
             ResourceVector::new(4000.0, 8192.0, 100.0, 1000.0),
         )
         .with_priority(Priority::new(0.4))
         .with_priority_derived_min();
+        let mut odd = ResourceVector::new(-0.0, f64::INFINITY, 1.0 / 3.0, 0.1);
         let mut w = ByteWriter::new();
-        w.put_vm_spec(&spec);
-        w.put_resources(&ResourceVector::new(-0.0, f64::INFINITY, 1.0 / 3.0, 0.1));
+        w.vm_spec("spec", &mut spec).unwrap();
+        w.resources("odd", &mut odd).unwrap();
         let bytes = w.into_bytes();
         let mut r = ByteReader::new(&bytes);
-        assert_eq!(r.get_vm_spec().unwrap(), spec);
-        let v = r.get_resources().unwrap();
+        let mut decoded = VmSpec::default();
+        r.vm_spec("spec", &mut decoded).unwrap();
+        assert_eq!(decoded, spec);
+        let mut v = ResourceVector::default();
+        r.resources("odd", &mut v).unwrap();
         assert_eq!(v[ResourceKind::Cpu].to_bits(), (-0.0f64).to_bits());
         assert_eq!(v[ResourceKind::Memory], f64::INFINITY);
         r.finish().unwrap();
+
+        // An unknown class discriminant is corrupt, not a panic.
+        let mut bad = bytes.clone();
+        bad[8] = 9;
+        assert!(matches!(
+            ByteReader::new(&bad).vm_spec("spec", &mut decoded),
+            Err(CheckpointError::Corrupt(_))
+        ));
+    }
+
+    #[test]
+    fn impossible_lengths_are_rejected_before_allocating() {
+        let mut w = ByteWriter::new();
+        w.put_usize(usize::MAX / 2);
+        w.put_f64(1.0);
+        let bytes = w.into_bytes();
+        let mut vs = Vec::new();
+        assert_eq!(
+            ByteReader::new(&bytes).f64s("xs", &mut vs).unwrap_err(),
+            CheckpointError::Truncated
+        );
+        assert!(vs.capacity() == 0, "nothing may be allocated");
+        // A length that fits is accepted.
+        let mut w = ByteWriter::new();
+        w.f64s("xs", &mut vec![2.5]).unwrap();
+        ByteReader::new(&w.into_bytes())
+            .f64s("xs", &mut vs)
+            .unwrap();
+        assert_eq!(vs, [2.5]);
     }
 
     #[test]

@@ -47,6 +47,16 @@ impl ResourceKind {
         }
     }
 
+    /// Short lowercase name (`cpu`, `memory`, `disk-bw`, `net-bw`).
+    pub const fn name(self) -> &'static str {
+        match self {
+            ResourceKind::Cpu => "cpu",
+            ResourceKind::Memory => "memory",
+            ResourceKind::DiskBw => "disk-bw",
+            ResourceKind::NetBw => "net-bw",
+        }
+    }
+
     /// Human-readable unit for this resource kind.
     pub const fn unit(self) -> &'static str {
         match self {
@@ -60,13 +70,7 @@ impl ResourceKind {
 
 impl fmt::Display for ResourceKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let name = match self {
-            ResourceKind::Cpu => "cpu",
-            ResourceKind::Memory => "memory",
-            ResourceKind::DiskBw => "disk-bw",
-            ResourceKind::NetBw => "net-bw",
-        };
-        f.write_str(name)
+        f.write_str(self.name())
     }
 }
 

@@ -11,7 +11,9 @@ use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Unique identifier of a VM within a cluster.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(
+    Debug, Clone, Copy, Default, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize,
+)]
 pub struct VmId(pub u64);
 
 impl fmt::Display for VmId {
@@ -21,7 +23,9 @@ impl fmt::Display for VmId {
 }
 
 /// Unique identifier of a physical server within a cluster.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(
+    Debug, Clone, Copy, Default, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize,
+)]
 pub struct ServerId(pub u32);
 
 impl fmt::Display for ServerId {
@@ -31,13 +35,14 @@ impl fmt::Display for ServerId {
 }
 
 /// Application class labels carried by the Azure trace (§3.2.1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum VmClass {
     /// Interactive / web-facing workloads — the focus of the paper.
     Interactive,
     /// Delay-insensitive batch / data-processing workloads.
     DelayInsensitive,
     /// Workloads whose class the provider could not determine.
+    #[default]
     Unknown,
 }
 
@@ -126,7 +131,7 @@ impl fmt::Display for Priority {
 }
 
 /// Static description of a VM known at provisioning time.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct VmSpec {
     /// Cluster-unique identifier.
     pub id: VmId,

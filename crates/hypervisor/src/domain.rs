@@ -17,7 +17,7 @@
 
 use crate::cgroups::CgroupSet;
 use crate::guest::{GuestOs, HotplugOutcome, MEMORY_BLOCK_MB};
-use deflate_core::checkpoint::{ByteReader, ByteWriter, CheckpointError, CheckpointResult};
+use deflate_core::checkpoint::{from_tag, tag_of, CheckpointError, CheckpointResult, StateVisitor};
 use deflate_core::resources::{ResourceKind, ResourceVector};
 use deflate_core::vm::VmSpec;
 use serde::{Deserialize, Serialize};
@@ -240,70 +240,46 @@ impl Domain {
         self.parked = source.parked;
     }
 
-    /// Serialize the full domain state for an engine checkpoint: spec,
-    /// mechanism, raw guest state, cgroup usages + limits (ceilings are
-    /// rebuilt from the spec), utilisation history, the parked flag and
-    /// the cache-regrowth clock.
-    pub fn write_snapshot(&self, w: &mut ByteWriter) {
-        w.put_vm_spec(&self.spec);
-        w.put_u8(match self.mechanism {
-            DeflationMechanism::Transparent => 0,
-            DeflationMechanism::Explicit => 1,
-            DeflationMechanism::Hybrid => 2,
-        });
-        self.guest.write_snapshot(w);
+    /// The domain's snapshot schema: spec, mechanism, raw guest state,
+    /// cgroup usages + limits (ceilings are rebuilt from the spec),
+    /// utilisation history, the parked flag and the cache-regrowth clock.
+    pub fn visit_state(&mut self, v: &mut impl StateVisitor) -> CheckpointResult<()> {
+        const MECHANISMS: [DeflationMechanism; 3] = [
+            DeflationMechanism::Transparent,
+            DeflationMechanism::Explicit,
+            DeflationMechanism::Hybrid,
+        ];
+        v.vm_spec("spec", &mut self.spec)?;
+        let mut mechanism = tag_of(&MECHANISMS, self.mechanism);
+        v.u8("mechanism", &mut mechanism)?;
+        self.mechanism = from_tag(&MECHANISMS, mechanism, "DeflationMechanism")?;
+        v.scope("guest", |v| self.guest.visit_state(v))?;
         // Usages before limits, mirroring the restore order: `set_usage`
         // clamps to the *current* limit, and a usage recorded before a
         // later limit cut may legitimately exceed the saved limit.
-        w.put_resources(&self.cgroups.usages());
-        w.put_resources(&self.cgroups.limits());
-        w.put_f64_slice(&self.cpu_util_history);
-        w.put_bool(self.parked);
-        w.put_f64(self.cache_advance_secs);
-    }
-
-    /// Rebuild a domain from [`write_snapshot`](Self::write_snapshot)
-    /// bytes, bit-identically.
-    pub fn read_snapshot(r: &mut ByteReader<'_>) -> CheckpointResult<Self> {
-        let spec = r.get_vm_spec()?;
-        let mechanism = match r.get_u8()? {
-            0 => DeflationMechanism::Transparent,
-            1 => DeflationMechanism::Explicit,
-            2 => DeflationMechanism::Hybrid,
-            other => {
+        let mut usages = self.cgroups.usages();
+        let mut limits = self.cgroups.limits();
+        v.resources("usages", &mut usages)?;
+        v.resources("limits", &mut limits)?;
+        v.f64s("cpu_util_history", &mut self.cpu_util_history)?;
+        v.bool("parked", &mut self.parked)?;
+        v.f64("cache_advance_secs", &mut self.cache_advance_secs)?;
+        if v.restoring() {
+            if self.cpu_util_history.len() > CPU_UTIL_HISTORY_LEN {
                 return Err(CheckpointError::Corrupt(format!(
-                    "unknown DeflationMechanism discriminant {other}"
-                )))
+                    "cpu utilisation history of {} samples exceeds the {} cap",
+                    self.cpu_util_history.len(),
+                    CPU_UTIL_HISTORY_LEN
+                )));
             }
-        };
-        let guest = GuestOs::read_snapshot(r)?;
-        let usages = r.get_resources()?;
-        let limits = r.get_resources()?;
-        // Fresh set: limits start at the ceilings, so restoring usages
-        // first leaves them unclamped; applying the saved limits after
-        // does not touch usages.
-        let mut cgroups = CgroupSet::new(spec.max_allocation);
-        cgroups.set_usages(usages);
-        cgroups.set_limits(limits);
-        let cpu_util_history = r.get_f64_vec()?;
-        if cpu_util_history.len() > CPU_UTIL_HISTORY_LEN {
-            return Err(CheckpointError::Corrupt(format!(
-                "cpu utilisation history of {} samples exceeds the {} cap",
-                cpu_util_history.len(),
-                CPU_UTIL_HISTORY_LEN
-            )));
+            // Fresh set: limits start at the ceilings, so restoring usages
+            // first leaves them unclamped; applying the saved limits after
+            // does not touch usages.
+            self.cgroups = CgroupSet::new(self.spec.max_allocation);
+            self.cgroups.set_usages(usages);
+            self.cgroups.set_limits(limits);
         }
-        let parked = r.get_bool()?;
-        let cache_advance_secs = r.get_f64()?;
-        Ok(Domain {
-            spec,
-            guest,
-            cgroups,
-            mechanism,
-            cpu_util_history,
-            parked,
-            cache_advance_secs,
-        })
+        Ok(())
     }
 
     /// The allocation currently granted on each dimension, i.e. the tighter
@@ -701,22 +677,24 @@ mod tests {
 
     #[test]
     fn snapshot_round_trips_a_mutated_domain_bit_exactly() {
+        use deflate_core::checkpoint::{ByteReader, ByteWriter};
         let mut d = Domain::launch_with(spec(), DeflationMechanism::Hybrid);
         d.report_guest_usage(ResourceVector::new(2000.0, 6000.0, 50.0, 100.0), 1500.0);
         d.deflate_to(ResourceVector::new(2500.0, 4000.0, 50.0, 100.0));
         d.observe_cpu_utilization(0.7);
         d.set_parked(true);
         d.advance_cache_regrowth(123.0, CacheRegrowthModel::with_rate(5.0));
-        let mut w = deflate_core::checkpoint::ByteWriter::new();
-        d.write_snapshot(&mut w);
+        let mut w = ByteWriter::new();
+        d.visit_state(&mut w).unwrap();
         let bytes = w.into_bytes();
-        let mut r = deflate_core::checkpoint::ByteReader::new(&bytes);
-        let restored = Domain::read_snapshot(&mut r).unwrap();
+        let mut r = ByteReader::new(&bytes);
+        let mut restored = Domain::launch(VmSpec::default());
+        restored.visit_state(&mut r).unwrap();
         r.finish().unwrap();
         assert_eq!(restored, d);
         // And the snapshot of the restored domain is byte-identical.
-        let mut w2 = deflate_core::checkpoint::ByteWriter::new();
-        restored.write_snapshot(&mut w2);
+        let mut w2 = ByteWriter::new();
+        restored.visit_state(&mut w2).unwrap();
         assert_eq!(w2.into_bytes(), bytes);
     }
 

@@ -19,7 +19,7 @@
 //! fact that the guest drops caches gracefully when it *knows* about the
 //! deflation (Figure 14).
 
-use deflate_core::checkpoint::{ByteReader, ByteWriter, CheckpointResult};
+use deflate_core::checkpoint::{CheckpointResult, StateVisitor};
 use deflate_core::resources::ResourceKind;
 use serde::{Deserialize, Serialize};
 
@@ -208,33 +208,18 @@ impl GuestOs {
         self.page_cache_target_mb
     }
 
-    /// Serialize the raw guest state for an engine checkpoint. Every
-    /// field is written verbatim: the public mutators all clamp, so a
-    /// faithful restore cannot go through them.
-    pub fn write_snapshot(&self, w: &mut ByteWriter) {
-        w.put_u32(self.boot_vcpus);
-        w.put_u32(self.online_vcpus);
-        w.put_f64(self.boot_memory_mb);
-        w.put_f64(self.plugged_memory_mb);
-        w.put_f64(self.rss_mb);
-        w.put_f64(self.page_cache_mb);
-        w.put_f64(self.page_cache_target_mb);
-        w.put_f64(self.cpu_busy_fraction);
-    }
-
-    /// Rebuild a guest from [`write_snapshot`](Self::write_snapshot)
-    /// bytes, bit-identically.
-    pub fn read_snapshot(r: &mut ByteReader<'_>) -> CheckpointResult<Self> {
-        Ok(GuestOs {
-            boot_vcpus: r.get_u32()?,
-            online_vcpus: r.get_u32()?,
-            boot_memory_mb: r.get_f64()?,
-            plugged_memory_mb: r.get_f64()?,
-            rss_mb: r.get_f64()?,
-            page_cache_mb: r.get_f64()?,
-            page_cache_target_mb: r.get_f64()?,
-            cpu_busy_fraction: r.get_f64()?,
-        })
+    /// The guest's snapshot schema. Every field is visited verbatim: the
+    /// public mutators all clamp, so a faithful restore cannot go through
+    /// them.
+    pub fn visit_state(&mut self, v: &mut impl StateVisitor) -> CheckpointResult<()> {
+        v.u32("boot_vcpus", &mut self.boot_vcpus)?;
+        v.u32("online_vcpus", &mut self.online_vcpus)?;
+        v.f64("boot_memory_mb", &mut self.boot_memory_mb)?;
+        v.f64("plugged_memory_mb", &mut self.plugged_memory_mb)?;
+        v.f64("rss_mb", &mut self.rss_mb)?;
+        v.f64("page_cache_mb", &mut self.page_cache_mb)?;
+        v.f64("page_cache_target_mb", &mut self.page_cache_target_mb)?;
+        v.f64("cpu_busy_fraction", &mut self.cpu_busy_fraction)
     }
 
     /// Regrow up to `mb` MiB of previously dropped page cache — the

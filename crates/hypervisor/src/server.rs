@@ -6,12 +6,18 @@
 //! placement (§5.2).
 
 use crate::domain::{DeflationMechanism, Domain};
+use deflate_core::checkpoint::{CheckpointResult, StateVisitor};
 use deflate_core::error::{DeflateError, Result};
 use deflate_core::placement::ServerView;
 use deflate_core::resources::ResourceVector;
 use deflate_core::vm::{ServerId, VmId, VmSpec};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
+
+/// The smallest snapshot encoding of one domain: spec (82 bytes),
+/// mechanism (1), guest (56), cgroup usages and limits (64), an empty
+/// history (8), parked flag (1) and regrowth clock (8).
+const DOMAIN_MIN_SNAPSHOT_BYTES: usize = 220;
 
 /// A simulated physical server.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -226,13 +232,29 @@ impl SimServer {
         Ok(&self.domains[&id])
     }
 
-    /// Insert a domain restored from an engine checkpoint, bypassing
-    /// [`create_domain`](Self::create_domain)'s admission checks: a
-    /// restored domain carries live guest state (it must not re-boot
-    /// fresh), and a snapshotted server may legitimately sit below its
-    /// base capacity mid-reclamation. Replaces any same-id resident.
-    pub fn restore_domain(&mut self, domain: Domain) {
-        self.domains.insert(domain.spec.id, domain);
+    /// The server's snapshot schema: capacity, then the resident domains
+    /// in `VmId` order. Restored domains bypass
+    /// [`create_domain`](Self::create_domain)'s admission checks: they
+    /// carry live guest state (they must not re-boot fresh), and a
+    /// snapshotted server may legitimately sit below its base capacity
+    /// mid-reclamation.
+    pub fn visit_state(&mut self, v: &mut impl StateVisitor) -> CheckpointResult<()> {
+        v.resources("capacity", &mut self.capacity)?;
+        let mut count = self.domains.len();
+        v.len("domains", &mut count, DOMAIN_MIN_SNAPSHOT_BYTES)?;
+        if v.restoring() {
+            self.domains.clear();
+            for d in 0..count {
+                let mut domain = Domain::launch(VmSpec::default());
+                v.item("domain", d, |v| domain.visit_state(v))?;
+                self.domains.insert(domain.spec.id, domain);
+            }
+        } else {
+            for (d, domain) in self.domains.values_mut().enumerate() {
+                v.item("domain", d, |v| domain.visit_state(v))?;
+            }
+        }
+        Ok(())
     }
 
     /// Destroy a domain and return it (e.g. for migration accounting).

@@ -14,7 +14,7 @@ use serde::{Deserialize, Serialize};
 pub const DEFAULT_INTERVAL_SECS: f64 = 300.0;
 
 /// A utilisation time series sampled at a fixed interval.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct TimeSeries {
     /// Seconds between consecutive samples.
     interval_secs: f64,

@@ -10,7 +10,7 @@
 //! (capacity reclamation/restitution, utilisation ticks) can be scheduled
 //! dynamically while the simulation is running.
 
-use deflate_core::checkpoint::{ByteReader, ByteWriter, CheckpointError, CheckpointResult};
+use deflate_core::checkpoint::{CheckpointError, CheckpointResult, StateVisitor};
 use deflate_core::vm::ServerId;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -20,7 +20,7 @@ use std::collections::BinaryHeap;
 /// `Arrival`/`Departure` carry the *index* of the VM in the workload slice
 /// being replayed (not its [`VmId`](deflate_core::vm::VmId)) so the
 /// simulator can address its per-VM bookkeeping arrays directly.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub enum SimEvent {
     /// A VM (index into the workload) departs.
     Departure(usize),
@@ -71,6 +71,7 @@ pub enum SimEvent {
         app: u32,
     },
     /// Periodic sampling point for cluster-utilisation metrics.
+    #[default]
     UtilizationTick,
 }
 
@@ -99,13 +100,38 @@ impl SimEvent {
         }
     }
 
-    /// Serialize the event for an engine checkpoint: the kind's rank as
-    /// the discriminant, then the payload fields.
-    pub fn write_snapshot(&self, w: &mut ByteWriter) {
-        w.put_u8(self.rank());
+    /// The event's snapshot schema: the kind's rank as the discriminant,
+    /// then the payload fields. A decoded rank of another kind resets
+    /// the event to that kind before its payload is read.
+    pub fn visit_state(&mut self, v: &mut impl StateVisitor) -> CheckpointResult<()> {
+        let mut kind = self.rank();
+        v.u8("kind", &mut kind)?;
+        if kind != self.rank() {
+            *self = match kind {
+                0 => SimEvent::Departure(0),
+                1 => SimEvent::MigrationComplete { migration: 0 },
+                2 => SimEvent::CapacityRestore {
+                    server: ServerId(0),
+                    available_fraction: 0.0,
+                },
+                3 => SimEvent::CapacityReclaim {
+                    server: ServerId(0),
+                    available_fraction: 0.0,
+                },
+                4 => SimEvent::Arrival(0),
+                5 => SimEvent::ScaleOut { app: 0 },
+                6 => SimEvent::ScaleIn { app: 0 },
+                7 => SimEvent::UtilizationTick,
+                other => {
+                    return Err(CheckpointError::Corrupt(format!(
+                        "unknown SimEvent discriminant {other}"
+                    )))
+                }
+            };
+        }
         match self {
-            SimEvent::Arrival(i) | SimEvent::Departure(i) => w.put_usize(*i),
-            SimEvent::MigrationComplete { migration } => w.put_u64(*migration),
+            SimEvent::Arrival(i) | SimEvent::Departure(i) => v.usize("vm_index", i),
+            SimEvent::MigrationComplete { migration } => v.u64("migration", migration),
             SimEvent::CapacityRestore {
                 server,
                 available_fraction,
@@ -114,39 +140,12 @@ impl SimEvent {
                 server,
                 available_fraction,
             } => {
-                w.put_u32(server.0);
-                w.put_f64(*available_fraction);
+                v.u32("server", &mut server.0)?;
+                v.f64("available_fraction", available_fraction)
             }
-            SimEvent::ScaleOut { app } | SimEvent::ScaleIn { app } => w.put_u32(*app),
-            SimEvent::UtilizationTick => {}
+            SimEvent::ScaleOut { app } | SimEvent::ScaleIn { app } => v.u32("app", app),
+            SimEvent::UtilizationTick => Ok(()),
         }
-    }
-
-    /// Decode an event written by [`write_snapshot`](Self::write_snapshot).
-    pub fn read_snapshot(r: &mut ByteReader<'_>) -> CheckpointResult<Self> {
-        Ok(match r.get_u8()? {
-            0 => SimEvent::Departure(r.get_usize()?),
-            1 => SimEvent::MigrationComplete {
-                migration: r.get_u64()?,
-            },
-            2 => SimEvent::CapacityRestore {
-                server: ServerId(r.get_u32()?),
-                available_fraction: r.get_f64()?,
-            },
-            3 => SimEvent::CapacityReclaim {
-                server: ServerId(r.get_u32()?),
-                available_fraction: r.get_f64()?,
-            },
-            4 => SimEvent::Arrival(r.get_usize()?),
-            5 => SimEvent::ScaleOut { app: r.get_u32()? },
-            6 => SimEvent::ScaleIn { app: r.get_u32()? },
-            7 => SimEvent::UtilizationTick,
-            other => {
-                return Err(CheckpointError::Corrupt(format!(
-                    "unknown SimEvent discriminant {other}"
-                )))
-            }
-        })
     }
 
     /// Entity id used as the final tie-break among same-kind events at the

@@ -490,13 +490,15 @@ mod tests {
         use deflate_core::checkpoint::{ByteReader, ByteWriter};
         let events = soup(10);
         let mut w = ByteWriter::new();
-        for &(_, e) in &events {
-            e.write_snapshot(&mut w);
+        for &(_, mut e) in &events {
+            e.visit_state(&mut w).unwrap();
         }
         let bytes = w.into_bytes();
         let mut r = ByteReader::new(&bytes);
         for &(_, e) in &events {
-            assert_eq!(SimEvent::read_snapshot(&mut r).unwrap(), e);
+            let mut decoded = SimEvent::default();
+            decoded.visit_state(&mut r).unwrap();
+            assert_eq!(decoded, e);
         }
         r.finish().unwrap();
     }

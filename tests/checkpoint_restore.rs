@@ -304,17 +304,33 @@ fn snapshot_byte_format_is_golden_pinned() {
 /// Golden digest captured from the version-1 snapshot format.
 const SNAPSHOT_GOLDEN: u64 = 0xb271_e12b_b659_3bfa;
 
-fn golden_snapshot() -> Vec<u8> {
-    let workload = transient_workload(Scale::Quick);
+/// The simulation and boundary behind `SNAPSHOT_GOLDEN`: quick-scale
+/// `fig_transient` spot-market deflation at 4 h.
+fn transient_golden(workload: &[WorkloadVm]) -> (ClusterSimulation, f64) {
     let sim = transient_simulation(
-        &workload,
+        workload,
         Scale::Quick,
         TransientMode::Deflation,
         CapacityProfile::spot_market_default(),
         default_migration_cost(),
         vmdeflate::core::policy::TransferPolicy::fifo(),
     );
-    sim.checkpoint(&workload, 4.0 * 3600.0)
+    (sim, 4.0 * 3600.0)
+}
+
+fn golden_snapshot() -> Vec<u8> {
+    snapshot_of(transient_golden)
+}
+
+/// A golden fixture: the simulation and checkpoint boundary of one
+/// pinned snapshot over the quick workload.
+type Fixture = fn(&[WorkloadVm]) -> (ClusterSimulation, f64);
+
+/// Checkpoint one of the golden fixtures over the quick workload.
+fn snapshot_of(fixture: Fixture) -> Vec<u8> {
+    let workload = transient_workload(Scale::Quick);
+    let (sim, at_secs) = fixture(&workload);
+    sim.checkpoint(&workload, at_secs)
 }
 
 /// Golden pin of the blocks `SNAPSHOT_GOLDEN` never reaches with
@@ -346,28 +362,84 @@ fn autoscale_snapshot_is_golden_pinned() {
 const SCHEDULER_SNAPSHOT_GOLDEN: u64 = 0x40df_395a_e199_0936;
 const AUTOSCALE_SNAPSHOT_GOLDEN: u64 = 0xf1f5_b723_c424_f336;
 
-fn scheduler_golden_snapshot() -> Vec<u8> {
-    let workload = transient_workload(Scale::Quick);
+fn scheduler_golden(workload: &[WorkloadVm]) -> (ClusterSimulation, f64) {
     let variant = SchedulerVariant::SmallestFirst;
     let sim = transient_simulation(
-        &workload,
+        workload,
         Scale::Quick,
         TransientMode::Deflation,
         CapacityProfile::spot_market_default(),
         variant.cost(SCHEDULER_SWEEP_MBPS[0]),
         variant.policy(),
     );
-    sim.checkpoint(&workload, 15_265.0)
+    (sim, 15_265.0)
 }
 
-fn autoscale_golden_snapshot() -> Vec<u8> {
-    let workload = transient_workload(Scale::Quick);
+fn scheduler_golden_snapshot() -> Vec<u8> {
+    snapshot_of(scheduler_golden)
+}
+
+fn autoscale_golden(workload: &[WorkloadVm]) -> (ClusterSimulation, f64) {
     let sim = autoscale_simulation(
-        &workload,
+        workload,
         CapacityProfile::spot_market_default(),
         AutoscaleVariant::DeflationAware,
     );
-    sim.checkpoint(&workload, 4.0 * 3600.0)
+    (sim, 4.0 * 3600.0)
+}
+
+fn autoscale_golden_snapshot() -> Vec<u8> {
+    snapshot_of(autoscale_golden)
+}
+
+/// The corruption battery: seeded single-bit flips and truncations of
+/// the three golden snapshots. Every damaged copy must either restore or
+/// fail with a typed [`CheckpointError`]; a panic (or an allocation
+/// abort, which kills the test process) fails the battery. Copies that
+/// restore are printed, not gated: only a checksum trailer could catch
+/// a flip that lands in a value field, and the format has none.
+#[test]
+fn corrupted_snapshots_never_panic() {
+    const FLIPS: usize = 64;
+    const TRUNCATIONS: usize = 16;
+    let workload = transient_workload(Scale::Quick);
+    let fixtures: [(&str, Fixture); 3] = [
+        ("fig_transient", transient_golden),
+        ("fig_scheduler", scheduler_golden),
+        ("fig_autoscale", autoscale_golden),
+    ];
+    let mut lcg = Lcg(0xBADC_0FFE);
+    let mut panics = Vec::new();
+    for (name, fixture) in fixtures {
+        let (sim, at_secs) = fixture(&workload);
+        let snapshot = sim.checkpoint(&workload, at_secs);
+        let (mut rejected, mut accepted) = (0, 0);
+        for k in 0..FLIPS + TRUNCATIONS {
+            let mut damaged = snapshot.clone();
+            let at = (lcg.next_u64() % snapshot.len() as u64) as usize;
+            let what = if k < FLIPS {
+                let bit = lcg.next_u64() % 8;
+                damaged[at] ^= 1 << bit;
+                format!("bit {bit} of byte {at} flipped")
+            } else {
+                damaged.truncate(at);
+                format!("truncated to {at} bytes")
+            };
+            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                sim.resume(&workload, &damaged)
+            }));
+            match outcome {
+                Ok(Err(_)) => rejected += 1,
+                Ok(Ok(_)) => accepted += 1,
+                Err(_) => panics.push(format!("{name}: {what}")),
+            }
+        }
+        println!(
+            "{name}: {} damaged copies, {rejected} rejected, {accepted} silently accepted",
+            FLIPS + TRUNCATIONS
+        );
+    }
+    assert!(panics.is_empty(), "resume panicked on: {panics:#?}");
 }
 
 /// Re-pinning helper: prints the current snapshot digests in source form.
