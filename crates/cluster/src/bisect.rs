@@ -471,6 +471,32 @@ mod tests {
         );
     }
 
+    // Every bit past the header belongs to a named field, in every block
+    // of the layout.
+    #[test]
+    fn flips_anywhere_name_a_field_in_their_block() {
+        let workload = scenario_workload();
+        let (servers, schedule) = scenario_cluster(&workload);
+        let sim = scenario_sim(servers, schedule, TransferPolicy::fifo());
+        let snapshot = sim.checkpoint(&workload, HORIZON_SECS / 2.0);
+        let mut blocks = std::collections::BTreeSet::new();
+        for at in (8..snapshot.len()).step_by(61) {
+            let mut mutated = snapshot.clone();
+            mutated[at] ^= 0x10;
+            let diff = first_divergent_field(&snapshot, &mutated)
+                .unwrap()
+                .expect("a flipped bit must be named");
+            let block = diff.field.split(['.', '[']).next().unwrap().to_string();
+            blocks.insert(block);
+        }
+        for block in ["queue", "manager", "record", "migration_log"] {
+            assert!(
+                blocks.contains(block),
+                "no flip named in {block}: {blocks:?}"
+            );
+        }
+    }
+
     #[test]
     fn divergent_snapshot_lengths_name_the_short_side() {
         let workload = scenario_workload();

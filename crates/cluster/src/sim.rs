@@ -142,7 +142,7 @@ impl EngineState {
     ) -> CheckpointResult<()> {
         v.f64("at_secs", at_secs)?;
         let mut vms = self.records.len();
-        v.len("workload_len", &mut vms, RECORD_MIN_SNAPSHOT_BYTES)?;
+        v.len("record", &mut vms, RECORD_MIN_SNAPSHOT_BYTES)?;
         v.u64("events_processed", &mut self.events_processed)?;
         let mut queued = if v.restoring() {
             Vec::new()

@@ -332,34 +332,34 @@ pub trait StateVisitor {
     }
 
     /// Visit the fields `visit` lists inside the scope `name`.
-    fn scope<T>(
+    fn scope(
         &mut self,
         name: &'static str,
-        visit: impl FnOnce(&mut Self) -> CheckpointResult<T>,
-    ) -> CheckpointResult<T>
+        visit: impl FnOnce(&mut Self) -> CheckpointResult<()>,
+    ) -> CheckpointResult<()>
     where
         Self: Sized,
     {
         self.enter(name, None);
-        let out = visit(self)?;
+        visit(self)?;
         self.leave();
-        Ok(out)
+        Ok(())
     }
 
     /// Visit item `index` of the collection `name`.
-    fn item<T>(
+    fn item(
         &mut self,
         name: &'static str,
         index: usize,
-        visit: impl FnOnce(&mut Self) -> CheckpointResult<T>,
-    ) -> CheckpointResult<T>
+        visit: impl FnOnce(&mut Self) -> CheckpointResult<()>,
+    ) -> CheckpointResult<()>
     where
         Self: Sized,
     {
         self.enter(name, Some(index));
-        let out = visit(self)?;
+        visit(self)?;
         self.leave();
-        Ok(out)
+        Ok(())
     }
 
     /// Visit a length-prefixed vector. A decoder resizes `items` to the

@@ -272,6 +272,10 @@ impl Domain {
                     CPU_UTIL_HISTORY_LEN
                 )));
             }
+            // The spec's allocations bound every later clamp.
+            self.spec
+                .validate()
+                .map_err(|e| CheckpointError::Corrupt(e.to_string()))?;
             // Fresh set: limits start at the ceilings, so restoring usages
             // first leaves them unclamped; applying the saved limits after
             // does not touch usages.
@@ -696,6 +700,15 @@ mod tests {
         let mut w2 = ByteWriter::new();
         restored.visit_state(&mut w2).unwrap();
         assert_eq!(w2.into_bytes(), bytes);
+
+        // A decoded spec that would poison the cgroup clamps is corrupt.
+        d.spec.max_allocation = ResourceVector::new(f64::NAN, 6000.0, 50.0, 100.0);
+        let mut w3 = ByteWriter::new();
+        d.visit_state(&mut w3).unwrap();
+        assert!(matches!(
+            restored.visit_state(&mut ByteReader::new(&w3.into_bytes())),
+            Err(deflate_core::checkpoint::CheckpointError::Corrupt(_))
+        ));
     }
 
     #[test]

@@ -241,7 +241,7 @@ impl SimServer {
     pub fn visit_state(&mut self, v: &mut impl StateVisitor) -> CheckpointResult<()> {
         v.resources("capacity", &mut self.capacity)?;
         let mut count = self.domains.len();
-        v.len("domains", &mut count, DOMAIN_MIN_SNAPSHOT_BYTES)?;
+        v.len("domain", &mut count, DOMAIN_MIN_SNAPSHOT_BYTES)?;
         if v.restoring() {
             self.domains.clear();
             for d in 0..count {
