@@ -3,8 +3,7 @@
 //! An **elastic application** is a pool of identical replica VMs serving a
 //! request stream whose rate varies over time. The autoscaler resizes the
 //! pool to keep the pool's utilisation near a setpoint. Everything here is
-//! a pure function of simulated time, so runs are deterministic and
-//! bit-identical across engine shard counts.
+//! a pure function of simulated time, so runs are deterministic.
 
 use deflate_core::resources::ResourceVector;
 use deflate_core::vm::{Priority, VmClass, VmId, VmSpec};
@@ -74,7 +73,7 @@ impl DemandCurve {
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct ElasticApp {
     /// Application id — the entity id carried by `ScaleOut` / `ScaleIn`
-    /// events and their shard-routing key.
+    /// events and their same-time tie-break key.
     pub app: u32,
     /// Resource allocation of one replica VM.
     pub replica_size: ResourceVector,

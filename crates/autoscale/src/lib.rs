@@ -33,7 +33,7 @@
 //! processor-sharing response-time profile built on
 //! `deflate-appsim`'s [`LatencyStats`]), which `deflate-cluster` surfaces
 //! in its `SimResult` — deterministically, as part of the engine's
-//! bit-identity contract across shard counts.
+//! bit-identity contract.
 //!
 //! [`LatencyStats`]: deflate_appsim::latency::LatencyStats
 

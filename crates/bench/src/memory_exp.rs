@@ -21,7 +21,6 @@
 use crate::report::{RuntimeTally, Table, TallyRunStats};
 use crate::scale::Scale;
 use crate::scale_exp::{run_scale_cell_with_telemetry, scale_workload};
-use deflate_core::shard::ShardConfig;
 use deflate_telemetry::{TelemetrySink, TelemetrySpec};
 
 /// Fraction of the run's peak RSS the accounted per-subsystem bytes must
@@ -117,8 +116,7 @@ pub fn memory_cell(scale: Scale, vms: usize) -> std::io::Result<MemoryRun> {
         ..TelemetrySpec::default()
     };
     let sink = TelemetrySink::from_spec(&spec)?;
-    let (result, servers) =
-        run_scale_cell_with_telemetry(&workload, scale, ShardConfig::sequential(), sink.clone());
+    let (result, servers) = run_scale_cell_with_telemetry(&workload, scale, sink.clone());
     let report = sink.finish()?;
     let mut subsystems: Vec<(String, u64)> = report
         .metrics

@@ -23,7 +23,6 @@
 use crate::report::{secs, RuntimeTally, Table, TallyRunStats};
 use crate::scale::Scale;
 use crate::scale_exp::{run_scale_cell_with_telemetry, scale_workload};
-use deflate_core::shard::ShardConfig;
 use deflate_telemetry::{
     validate_chrome_trace, ChromeTraceStats, Phase, TelemetryReport, TelemetrySink, TelemetrySpec,
 };
@@ -41,11 +40,6 @@ pub const COVERAGE_FLOOR: f64 = 0.90;
 /// when it creeps back up.
 pub const PLACEMENT_SHARE_CEILING: f64 = 0.40;
 
-/// The shard count the profile runs under: 2, so the coordinator/worker
-/// split (heapify, utilisation sampling) shows up in the per-shard rows
-/// without drowning a small CI host.
-pub const PROFILE_SHARDS: usize = 2;
-
 /// One profiled run of the spot-market scenario.
 #[derive(Debug)]
 pub struct ProfileRun {
@@ -53,8 +47,6 @@ pub struct ProfileRun {
     pub vms: usize,
     /// Servers the cluster was sized to.
     pub servers: usize,
-    /// Engine shard count.
-    pub shards: usize,
     /// Events the engine delivered.
     pub events: u64,
     /// Wall-clock duration of the run, seconds.
@@ -182,12 +174,7 @@ pub fn profile_cell(scale: Scale, vms: usize) -> std::io::Result<ProfileRun> {
     let spec = TelemetrySpec::profiling().with_chrome_trace(&trace_path);
     let sink = TelemetrySink::from_spec(&spec)?;
     let workload = scale_workload(scale, vms);
-    let (result, servers) = run_scale_cell_with_telemetry(
-        &workload,
-        scale,
-        ShardConfig::with_shards(PROFILE_SHARDS),
-        sink.clone(),
-    );
+    let (result, servers) = run_scale_cell_with_telemetry(&workload, scale, sink.clone());
     let report = sink.finish()?;
     let trace = match std::fs::read_to_string(&trace_path) {
         Ok(text) => validate_chrome_trace(&text),
@@ -196,7 +183,6 @@ pub fn profile_cell(scale: Scale, vms: usize) -> std::io::Result<ProfileRun> {
     Ok(ProfileRun {
         vms,
         servers,
-        shards: PROFILE_SHARDS,
         events: result.runtime.events_processed,
         wall_clock_secs: result.runtime.wall_clock_secs,
         report,
@@ -221,10 +207,9 @@ pub fn profile_sweep(scale: Scale) -> std::io::Result<Vec<ProfileRun>> {
 pub fn phase_table(run: &ProfileRun) -> Table {
     let mut table = Table::new(
         &format!(
-            "Engine phase profile: {} VMs, {} servers, {} shards (coverage {})",
+            "Engine phase profile: {} VMs, {} servers (coverage {})",
             run.vms,
             run.servers,
-            run.shards,
             run.coverage()
                 .map_or_else(|| "n/a".to_string(), |c| format!("{:.1}%", 100.0 * c)),
         ),
@@ -267,27 +252,9 @@ pub fn phase_table(run: &ProfileRun) -> Table {
     tally.add(deflate_cluster::metrics::RunStats {
         wall_clock_secs: run.wall_clock_secs,
         events_processed: run.events,
-        shards: run.shards,
+        shards: 1,
     });
     table.set_footer(tally.footer());
-    table
-}
-
-/// The per-shard breakdown of worker-side phases (heapify, utilisation
-/// sampling) as a table; empty when the run was sequential.
-pub fn shard_table(run: &ProfileRun) -> Table {
-    let mut table = Table::new(
-        &format!("Per-shard worker phases: {} VMs", run.vms),
-        &["shard", "phase", "time", "count"],
-    );
-    for row in &run.report.phases.shards {
-        table.row(&[
-            row.shard.to_string(),
-            row.phase.name().to_string(),
-            secs(row.time.as_secs_f64()),
-            row.count.to_string(),
-        ]);
-    }
     table
 }
 
@@ -314,14 +281,12 @@ mod tests {
         assert!(share > 0.0, "placement phases attributed no time at all");
         let stats = run.trace.as_ref().expect("valid trace");
         assert!(stats.spans > 0);
-        assert!(stats.threads >= 2, "coordinator + worker tids expected");
+        assert_eq!(stats.threads, 1, "one event-loop tid expected");
         let rendered = phase_table(&run).render();
         assert!(rendered.contains("placement_rank"));
-        assert!(rendered.contains("coordinator_merge"));
+        assert!(rendered.contains("queue_pop"));
         assert!(rendered.contains("engine_total"));
         assert!(rendered.contains("engine:"), "runtime footer expected");
-        let shards = shard_table(&run);
-        assert!(!shards.is_empty(), "worker shard rows expected");
         let _ = std::fs::remove_file(&run.trace_path);
     }
 

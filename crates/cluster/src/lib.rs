@@ -12,9 +12,7 @@
 //! * [`placement`] — the incremental placement index: cached
 //!   [`ServerView`](deflate_core::placement::ServerView)s with dirty
 //!   tracking, so each ranking pass re-derives only the servers whose
-//!   state changed since the last one, and the sequential-or-parallel
-//!   ranking pass itself (the
-//!   [`PlacementEngine`](deflate_core::placement::PlacementEngine) knob).
+//!   state changed since the last one, and the ranking pass itself.
 //! * [`scheduler`] — the global transfer scheduler: grants
 //!   migration-bandwidth slots to queued transfers in policy order (FIFO /
 //!   smallest-first / deadline-aware EDF with admission control).

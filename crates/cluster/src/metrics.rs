@@ -183,8 +183,7 @@ pub struct MigrationEvent {
 
 /// Engine accounting for one simulation run: how long the run took and
 /// how many events it processed. `events_processed` is deterministic —
-/// part of the engine's bit-identity contract across shard counts —
-/// while `wall_clock_secs` is a measurement and is therefore **excluded
+/// part of the engine's bit-identity contract — while `wall_clock_secs` is a measurement and is therefore **excluded
 /// from [`SimResult`]'s equality** (two otherwise identical runs never
 /// take exactly the same wall-clock time).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
@@ -194,7 +193,7 @@ pub struct RunStats {
     /// Total events the engine delivered (arrivals, departures, capacity
     /// changes, migration completions, utilisation ticks).
     pub events_processed: u64,
-    /// Shard count the engine ran with (1 = sequential).
+    /// Kept only because `perfbench/` names it; the engine always reports 1.
     pub shards: usize,
 }
 
@@ -214,10 +213,10 @@ impl RunStats {
 ///
 /// Equality compares the *simulation output* — records, counters,
 /// migrations, utilisation samples and the deterministic event count —
-/// and deliberately ignores the wall-clock time and shard count in
-/// [`runtime`](Self::runtime): a sharded run is required to be
-/// `==` the sequential run (the engine's bit-identity contract, pinned
-/// by `tests/shard_parity.rs`) even though it was timed differently.
+/// and deliberately ignores the wall-clock time and the fixed `shards`
+/// field in [`runtime`](Self::runtime): a resumed run is required to be
+/// `==` the uninterrupted run (the checkpoint contract, pinned by
+/// `tests/checkpoint_restore.rs`) even though it was timed differently.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct SimResult {
     /// Per-VM records, in arrival order.
@@ -247,7 +246,7 @@ pub struct SimResult {
     pub overcommitment: f64,
     /// Human-readable name of the reclamation mode / policy that ran.
     pub policy_name: String,
-    /// Engine accounting: wall-clock duration, events processed, shards.
+    /// Engine accounting: wall-clock duration and events processed.
     pub runtime: RunStats,
 }
 
@@ -280,7 +279,7 @@ impl PartialEq for SimResult {
             && *overcommitment == other.overcommitment
             && *policy_name == other.policy_name
             // Deterministic part of the runtime stats only: the event
-            // count must match, the wall clock and shard count must not.
+            // count must match, the wall clock need not.
             && runtime.events_processed == other.runtime.events_processed
     }
 }
@@ -602,7 +601,6 @@ mod tests {
         };
         let mut timed_differently = base.clone();
         timed_differently.runtime.wall_clock_secs = 9.0;
-        timed_differently.runtime.shards = 4;
         assert_eq!(base, timed_differently);
         let mut different_events = base.clone();
         different_events.runtime.events_processed = 43;
@@ -614,7 +612,7 @@ mod tests {
         let stats = RunStats {
             wall_clock_secs: 2.0,
             events_processed: 100,
-            shards: 2,
+            shards: 1,
         };
         assert!((stats.events_per_sec() - 50.0).abs() < 1e-9);
         assert_eq!(RunStats::default().events_per_sec(), 0.0);

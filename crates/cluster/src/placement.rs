@@ -17,26 +17,19 @@
 //! is the per-server `ServerView` itself (a sum over resident domains).
 //! With views cached, a ranking pass is a linear scan over `Copy` structs.
 //!
-//! Two standing contracts, pinned by `tests/placement_equivalence.rs`,
-//! `tests/placement_golden.rs` and `tests/shard_parity.rs`:
-//!
-//! 1. **Index == full rescan.** After any mutation sequence, ranking over
-//!    the cached views picks the *same server with the same score* as a
-//!    from-scratch rescan of every server. (This holds because the manager
-//!    marks every view-affecting mutation dirty; see
-//!    `ClusterManager::mark_server_dirty` for the taxonomy.)
-//! 2. **Parallel == sequential.** The opt-in [`PlacementEngine::Parallel`]
-//!    fan-out reduces per-span argmaxes in span order — strictly-greater
-//!    score replaces, ties keep the earlier span — reproducing the
-//!    sequential first-argmax bit for bit.
+//! The standing contract, pinned by `tests/placement_equivalence.rs` and
+//! `tests/placement_golden.rs`: **index == full rescan.** After any
+//! mutation sequence, ranking over the cached views picks the *same
+//! server with the same score* as a from-scratch rescan of every server.
+//! (This holds because the manager marks every view-affecting mutation
+//! dirty; see `ClusterManager::mark_server_dirty` for the taxonomy.)
 
-use deflate_core::placement::{PlacementDecision, PlacementEngine, PlacementPolicy, ServerView};
+use deflate_core::placement::{PlacementDecision, PlacementPolicy, ServerView};
 use deflate_core::vm::{ServerId, VmSpec};
 use deflate_telemetry::{Phase, TelemetrySink};
-use deflate_transient::pool::{run_tasks, Task, WorkerPool};
 
 /// Cached per-server [`ServerView`]s with dirty tracking, plus the ranking
-/// pass itself (sequential or parallel, per [`PlacementEngine`]).
+/// pass itself.
 #[derive(Debug, Clone)]
 pub struct PlacementIndex {
     /// The resident view of every server, in server order. Entry `i` is
@@ -141,80 +134,29 @@ impl PlacementIndex {
     /// replacement for "rebuild all views, then `policy.place`". The
     /// caller must [`refresh`](PlacementIndex::refresh) first; `excluded`
     /// servers (already tried and rejected this placement loop, or a
-    /// migration's own source) are filtered out before ranking.
-    ///
-    /// Under [`PlacementEngine::Sequential`] this delegates to
+    /// migration's own source) are filtered out before ranking. This is
     /// `policy.place` over the eligible views — literally the pre-index
     /// code path over equal inputs, hence bit-identical by construction.
-    /// Under [`PlacementEngine::Parallel`] the eligible views are split
-    /// into `workers` contiguous spans, each span ranked by the same
-    /// policy on a pool worker, and the per-span winners reduced in span
-    /// order (strictly-greater replaces, ties keep the earlier span) —
-    /// the sequential first-argmax, reproduced exactly.
     pub fn rank(
         &self,
         policy: &dyn PlacementPolicy,
         vm: &VmSpec,
         excluded: &[ServerId],
-        engine: PlacementEngine,
-        pool: Option<&WorkerPool>,
-        telemetry: &TelemetrySink,
     ) -> Option<PlacementDecision> {
         debug_assert!(
             self.dirty_queue.is_empty(),
             "rank() requires a refreshed index"
         );
-        let filtered: Vec<ServerView>;
-        let eligible: &[ServerView] = if excluded.is_empty() {
-            &self.views
-        } else {
-            filtered = self
-                .views
-                .iter()
-                .filter(|v| !excluded.contains(&v.id))
-                .copied()
-                .collect();
-            &filtered
-        };
-        let workers = engine.workers();
-        // Spans below ~2 servers per worker cost more to fan out than to
-        // scan; the sequential pass is the exact same argmax either way.
-        if workers < 2 || eligible.len() < 2 * workers {
-            return policy.place(vm, eligible);
+        if excluded.is_empty() {
+            return policy.place(vm, &self.views);
         }
-        let span = eligible.len().div_ceil(workers);
-        let chunks: Vec<&[ServerView]> = eligible.chunks(span).collect();
-        let mut partials: Vec<Option<Option<PlacementDecision>>> = vec![None; chunks.len()];
-        {
-            let tasks: Vec<Task<'_>> = partials
-                .iter_mut()
-                .zip(&chunks)
-                .enumerate()
-                .map(|(shard, (slot, chunk))| {
-                    let chunk: &[ServerView] = chunk;
-                    let worker_sink = telemetry.clone();
-                    Box::new(move || {
-                        let _span = worker_sink.shard_span(shard, Phase::PlacementRank);
-                        *slot = Some(policy.place(vm, chunk));
-                    }) as Task<'_>
-                })
-                .collect();
-            run_tasks(pool, workers, tasks);
-        }
-        // Span-order reduce: strictly-greater score replaces, ties keep
-        // the earlier span — the same `b.score >= s` comparison the
-        // sequential `pick_best` applies server by server, so the winner
-        // (and its score bits) match the sequential scan exactly. A
-        // first-fit style policy scores every pick 0.0: the tie rule then
-        // keeps the earliest span's pick, which is the sequential answer.
-        let mut best: Option<PlacementDecision> = None;
-        for partial in partials.into_iter().flatten().flatten() {
-            match &best {
-                Some(b) if b.score >= partial.score => {}
-                _ => best = Some(partial),
-            }
-        }
-        best
+        let eligible: Vec<ServerView> = self
+            .views
+            .iter()
+            .filter(|v| !excluded.contains(&v.id))
+            .copied()
+            .collect();
+        policy.place(vm, &eligible)
     }
 }
 
@@ -282,68 +224,8 @@ mod tests {
             Box::new(WorstFit),
         ] {
             let direct = policy.place(&vm, &views);
-            let ranked = index.rank(
-                policy.as_ref(),
-                &vm,
-                &[],
-                PlacementEngine::Sequential,
-                None,
-                &sink(),
-            );
+            let ranked = index.rank(policy.as_ref(), &vm, &[]);
             assert_eq!(direct, ranked, "policy {}", policy.name());
-        }
-    }
-
-    #[test]
-    fn parallel_rank_is_bit_identical_to_sequential() {
-        let views: Vec<ServerView> = (0..53)
-            .map(|i| {
-                view(
-                    i,
-                    300.0 + 137.0 * ((i as f64 * 1.7).sin().abs()),
-                    90.0 * (i % 5) as f64,
-                )
-            })
-            .collect();
-        let index = PlacementIndex::new(views);
-        let pool = WorkerPool::new(4);
-        for cpu in [100.0, 350.0, 420.0] {
-            let vm = demand(cpu);
-            for policy in [
-                Box::new(CosineFitness::load_balancing()) as Box<dyn PlacementPolicy>,
-                Box::new(FirstFit),
-                Box::new(BestFit),
-                Box::new(WorstFit),
-            ] {
-                let sequential = index.rank(
-                    policy.as_ref(),
-                    &vm,
-                    &[],
-                    PlacementEngine::Sequential,
-                    None,
-                    &sink(),
-                );
-                for workers in [2, 3, 4, 7] {
-                    let parallel = index.rank(
-                        policy.as_ref(),
-                        &vm,
-                        &[],
-                        PlacementEngine::parallel(workers),
-                        Some(&pool),
-                        &sink(),
-                    );
-                    assert_eq!(
-                        sequential,
-                        parallel,
-                        "policy {} with {workers} workers",
-                        policy.name()
-                    );
-                    // Score bits, not just the pick.
-                    if let (Some(s), Some(p)) = (sequential, parallel) {
-                        assert_eq!(s.score.to_bits(), p.score.to_bits());
-                    }
-                }
-            }
         }
     }
 
@@ -356,59 +238,12 @@ mod tests {
         ]);
         let vm = demand(1_000.0);
         let policy = WorstFit;
-        let all = index
-            .rank(
-                &policy,
-                &vm,
-                &[],
-                PlacementEngine::Sequential,
-                None,
-                &sink(),
-            )
-            .unwrap();
+        let all = index.rank(&policy, &vm, &[]).unwrap();
         assert_eq!(all.server, ServerId(0));
-        let without_best = index
-            .rank(
-                &policy,
-                &vm,
-                &[ServerId(0)],
-                PlacementEngine::Sequential,
-                None,
-                &sink(),
-            )
-            .unwrap();
+        let without_best = index.rank(&policy, &vm, &[ServerId(0)]).unwrap();
         assert_eq!(without_best.server, ServerId(1));
         assert!(index
-            .rank(
-                &policy,
-                &vm,
-                &[ServerId(0), ServerId(1), ServerId(2)],
-                PlacementEngine::Sequential,
-                None,
-                &sink(),
-            )
+            .rank(&policy, &vm, &[ServerId(0), ServerId(1), ServerId(2)])
             .is_none());
-    }
-
-    #[test]
-    fn tiny_eligible_sets_skip_the_fan_out() {
-        // 3 eligible servers with 4 workers: the parallel path would fan
-        // out more tasks than servers; rank degrades to the sequential
-        // scan (no pool needed even with a parallel engine).
-        let index = PlacementIndex::new(vec![
-            view(0, 2_000.0, 0.0),
-            view(1, 3_000.0, 0.0),
-            view(2, 4_000.0, 0.0),
-        ]);
-        let vm = demand(500.0);
-        let got = index.rank(
-            &WorstFit,
-            &vm,
-            &[],
-            PlacementEngine::parallel(4),
-            None,
-            &sink(),
-        );
-        assert_eq!(got.unwrap().server, ServerId(2));
     }
 }

@@ -9,9 +9,8 @@
 //! (Figure 21) and revenue (Figure 22).
 //!
 //! The simulation runs on the generalized event engine of
-//! `deflate-transient`: a deterministic binary-heap event queue
-//! ([`ShardedEventQueue`] — one heap per engine shard) over typed
-//! [`SimEvent`]s. Besides VM arrivals and departures it understands
+//! `deflate-transient`: a deterministic binary-heap [`EventQueue`] over
+//! typed [`SimEvent`]s. Besides VM arrivals and departures it understands
 //! provider-side **capacity events** — attach a [`CapacitySchedule`] with
 //! [`ClusterSimulation::with_capacity_schedule`] and every reclamation is
 //! absorbed by deflation, then deflation-aware migration, and only then by
@@ -36,21 +35,6 @@
 //! where a fresh launch pays a boot delay. `AutoscalePolicy::Disabled`
 //! (the default) schedules nothing and is bit-identical to a run without
 //! the call.
-//!
-//! # Sharded engine
-//!
-//! For large traces the simulator can run its engine **sharded**
-//! ([`ClusterSimulation::with_shards`], default 1 = sequential): the event
-//! queue splits into per-shard heaps built in parallel
-//! ([`ShardedEventQueue`]), and the embarrassingly-parallel per-server
-//! passes — per-VM record initialisation, trace-utilisation sampling ahead
-//! of capacity events, and the per-server sums behind each
-//! `UtilizationTick` — fan out to one `std::thread` worker per shard.
-//! Event *handling* (placement, reclamation ladders, transfer booking)
-//! stays serialized at the coordinator in the queue's global total order,
-//! which is what makes a sharded run **bit-identical** to the sequential
-//! one (pinned by `tests/shard_parity.rs`, documented in
-//! `docs/PERFORMANCE.md`).
 
 use crate::audit::Auditor;
 use crate::manager::{ClusterConfig, ClusterManager, PlacementResult, ReclamationMode};
@@ -69,12 +53,9 @@ use deflate_core::vm::VmId;
 use deflate_hypervisor::domain::CacheRegrowthModel;
 use deflate_hypervisor::migration::MigrationCostModel;
 use deflate_telemetry::{EventField, MemoryLedger, Phase, TelemetryEventKind, TelemetrySink};
-use deflate_transient::events::SimEvent;
-use deflate_transient::pool::{run_tasks, Task, WorkerPool};
-use deflate_transient::sharded::ShardedEventQueue;
+use deflate_transient::events::{EventQueue, SimEvent};
 use deflate_transient::signal::CapacitySchedule;
 use std::collections::HashMap;
-use std::sync::Arc;
 
 /// The trace-driven cluster simulator.
 pub struct ClusterSimulation {
@@ -89,8 +70,6 @@ pub struct ClusterSimulation {
     cache_regrowth: CacheRegrowthModel,
     autoscale_policy: AutoscalePolicy,
     elastic_apps: Vec<ElasticApp>,
-    shards: ShardConfig,
-    placement_engine: PlacementEngine,
     telemetry: TelemetrySink,
     audit: AuditSpec,
     /// Memory-ledger sampling cadence, in utilisation ticks (1 = every
@@ -105,10 +84,9 @@ pub struct ClusterSimulation {
 /// serializable as a versioned snapshot
 /// ([`ClusterSimulation::checkpoint`]).
 struct EngineState {
-    pool: Option<Arc<WorkerPool>>,
     manager: ClusterManager,
     autoscaler: Option<Autoscaler>,
-    queue: ShardedEventQueue,
+    queue: EventQueue,
     index_of: HashMap<VmId, usize>,
     records: Vec<VmRecord>,
     running: Vec<bool>,
@@ -128,12 +106,12 @@ impl EngineState {
     /// autoscaler, each VM's running flag, outcome and allocation history,
     /// the migration log and the utilisation series.
     ///
-    /// Restoring rebuilds the queue through the ordinary sharded
-    /// construction — events are stored in the canonical pop order and
-    /// routing is content-addressed, so any shard count reproduces the
-    /// same pops. The snapshot defines every shape (workload length,
-    /// server count, autoscaler apps); [`ClusterSimulation::resume`]
-    /// then rejects shapes that are not its own.
+    /// Restoring rebuilds the queue through the ordinary bulk build —
+    /// events are stored in the canonical pop order, and the order is
+    /// total, so the rebuilt heap reproduces the same pops. The snapshot
+    /// defines every shape (workload length, server count, autoscaler
+    /// apps); [`ClusterSimulation::resume`] then rejects shapes that are
+    /// not its own.
     fn visit_state(
         &mut self,
         v: &mut impl StateVisitor,
@@ -198,14 +176,8 @@ impl EngineState {
             for (time, event) in &queued {
                 check_queued(*time, event, vms, servers)?;
             }
-            self.queue = ShardedEventQueue::build_with_workers(
-                self.queue.config(),
-                servers,
-                vms,
-                queued,
-                telemetry,
-                self.pool.as_deref(),
-            );
+            let _heapify = telemetry.span(Phase::Heapify);
+            self.queue = EventQueue::from_events(queued);
         }
         Ok(())
     }
@@ -300,8 +272,6 @@ impl ClusterSimulation {
             cache_regrowth: CacheRegrowthModel::default(),
             autoscale_policy: AutoscalePolicy::default(),
             elastic_apps: Vec::new(),
-            shards: ShardConfig::sequential(),
-            placement_engine: PlacementEngine::default(),
             telemetry: TelemetrySink::disabled(),
             audit: AuditSpec::off(),
             memory_sample_every_ticks: 1,
@@ -341,7 +311,7 @@ impl ClusterSimulation {
     /// the sink's [`TelemetrySpec`]. The disabled default costs one
     /// branch per call site, and an enabled sink **never changes
     /// results**: every `SimResult` field is bit-identical to a
-    /// telemetry-off run at any shard count (pinned by
+    /// telemetry-off run (pinned by
     /// `tests/telemetry_determinism.rs`).
     pub fn with_telemetry(mut self, telemetry: TelemetrySink) -> Self {
         self.telemetry = telemetry;
@@ -359,25 +329,13 @@ impl ClusterSimulation {
         &self.telemetry
     }
 
-    /// Run the engine with the given shard count ([`ShardConfig`]): per-
-    /// shard event queues built in parallel, per-server passes fanned out
-    /// to `std::thread` workers, one coordinator preserving the global
-    /// event order. Sharding never changes results — any shard count is
-    /// bit-identical to the sequential default — only how fast the run
-    /// goes on multi-core hardware.
-    pub fn with_shards(mut self, shards: ShardConfig) -> Self {
-        self.shards = shards;
+    /// Kept only because `perfbench/` names it; the value is ignored.
+    pub fn with_shards(self, _shards: ShardConfig) -> Self {
         self
     }
 
-    /// Evaluate placement-ranking passes under the given
-    /// [`PlacementEngine`]: the sequential default is bit-identical to the
-    /// pre-index full rescan, and the parallel fan-out is bit-identical to
-    /// the sequential pass (pinned by `tests/placement_golden.rs` and
-    /// `tests/shard_parity.rs`) — like [`with_shards`](Self::with_shards),
-    /// a performance knob that never changes results.
-    pub fn with_placement_engine(mut self, engine: PlacementEngine) -> Self {
-        self.placement_engine = engine;
+    /// Kept only because `perfbench/` names it; the value is ignored.
+    pub fn with_placement_engine(self, _engine: PlacementEngine) -> Self {
         self
     }
 
@@ -474,11 +432,11 @@ impl ClusterSimulation {
     /// equal to the uninterrupted `run` in **every** field (wall-clock
     /// time excepted — it is re-measured, never serialized, so snapshot
     /// bytes are machine-independent). The bytes are also independent of
-    /// the shard count and of telemetry: queue contents are written in
-    /// the queue's deterministic pop order and every map in sorted order.
+    /// telemetry: queue contents are written in the queue's deterministic
+    /// pop order and every map in sorted order.
     ///
     /// A snapshot holds only *dynamic* state. Configuration — the cluster
-    /// layout, policies, cost models, telemetry sinks, shard count — is
+    /// layout, policies, cost models, telemetry sinks — is
     /// re-supplied by the [`ClusterSimulation`] that restores it, which is
     /// what lets a **fork** replay the same snapshot under a different
     /// [`TransferPolicy`] (the scheduler's ledgers persist; its policy is
@@ -494,8 +452,8 @@ impl ClusterSimulation {
     /// remaining events to completion. The receiver must be configured
     /// identically to the checkpointing simulation — except for knobs
     /// that are *deliberately* part of a fork (the transfer policy) and
-    /// knobs that never affect results (shards, placement engine,
-    /// telemetry — sinks are re-attached here, never serialized).
+    /// knobs that never affect results (telemetry — sinks are re-attached
+    /// here, never serialized).
     pub fn resume(&self, workload: &[WorkloadVm], snapshot: &[u8]) -> CheckpointResult<SimResult> {
         let started_at = std::time::Instant::now();
         let _engine_total = self.telemetry.span(Phase::EngineTotal);
@@ -540,20 +498,11 @@ impl ClusterSimulation {
     /// bookkeeping — everything `drive` advances, and everything a
     /// snapshot restores over.
     fn boot(&self, workload: &[WorkloadVm]) -> EngineState {
-        // One persistent worker pool is shared by every parallel section of
-        // the run — shard heapify, record init, utilisation sampling,
-        // snapshotting and the placement ranking fan-out — instead of each
-        // section respawning scoped threads. Sized for the wider of the two
-        // parallelism knobs; absent entirely for fully sequential runs.
-        let pool_threads = self.shards.count().max(self.placement_engine.workers());
-        let pool = (pool_threads > 1).then(|| Arc::new(WorkerPool::new(pool_threads)));
         let manager = ClusterManager::new(&self.config, self.mode.clone())
             .with_migration_cost(self.migration_cost)
             .with_transfer_policy(self.transfer_policy)
             .with_restore_policy(self.restore_policy)
             .with_cache_regrowth(self.cache_regrowth)
-            .with_placement_engine(self.placement_engine)
-            .with_worker_pool(pool.clone())
             .with_telemetry(self.telemetry.clone());
         // The autoscaler exists only for enabled policies: a Disabled run
         // schedules no scale events and touches no autoscaler state, so it
@@ -568,9 +517,7 @@ impl ClusterSimulation {
         // insertion order: departures precede capacity changes precede
         // arrivals at equal timestamps, so back-to-back VMs never
         // artificially overlap and simultaneous arrivals see the already
-        // shrunk server. The event list is routed into per-shard heaps and
-        // heapified in parallel; popping merges the shard heads under the
-        // same total order, so the shard count never changes the run.
+        // shrunk server.
         let events: Vec<(f64, SimEvent)> = {
             let _schedule = self.telemetry.span(Phase::ScheduleBuild);
             let mut events: Vec<(f64, SimEvent)> =
@@ -608,14 +555,12 @@ impl ClusterSimulation {
             }
             events
         };
-        let queue = ShardedEventQueue::build_with_workers(
-            self.shards,
-            self.config.num_servers,
-            workload.len(),
-            events,
-            &self.telemetry,
-            pool.as_deref(),
-        );
+        let queue = {
+            let _heapify = self.telemetry.span(Phase::Heapify);
+            EventQueue::from_events(events)
+        };
+        self.telemetry
+            .count("queue.events_scheduled", queue.len() as u64);
 
         // Working state.
         let (index_of, records) = {
@@ -625,10 +570,9 @@ impl ClusterSimulation {
                 .enumerate()
                 .map(|(i, vm)| (vm.spec.id, i))
                 .collect();
-            (index_of, self.initial_records(workload, pool.as_deref()))
+            (index_of, Self::initial_records(workload))
         };
         EngineState {
-            pool,
             manager,
             autoscaler,
             queue,
@@ -648,7 +592,6 @@ impl ClusterSimulation {
     /// checkpoint can serialize; `None` drains the queue.
     fn drive(&self, workload: &[WorkloadVm], state: &mut EngineState, stop_secs: Option<f64>) {
         let EngineState {
-            pool,
             manager,
             autoscaler,
             queue,
@@ -667,10 +610,9 @@ impl ClusterSimulation {
                     _ => break,
                 }
             }
-            // Time the k-way shard-head merge separately from the event
-            // handlers it feeds.
+            // Time the heap pop separately from the event handlers it feeds.
             let popped = {
-                let _merge = self.telemetry.span(Phase::CoordinatorMerge);
+                let _pop = self.telemetry.span(Phase::QueuePop);
                 queue.pop()
             };
             let Some((time, event)) = popped else { break };
@@ -772,13 +714,7 @@ impl ClusterSimulation {
                     let _span = self.telemetry.span(Phase::ReclaimLadder);
                     {
                         let _sampling = self.telemetry.span(Phase::UtilizationSampling);
-                        self.observe_utilizations(
-                            manager,
-                            workload,
-                            running,
-                            time,
-                            pool.as_deref(),
-                        );
+                        Self::observe_utilizations(manager, workload, running, time);
                     }
                     let outcome = manager.reclaim_capacity(server, available_fraction, time);
                     if self.telemetry.wants(TelemetryEventKind::CapacityReclaim) {
@@ -808,13 +744,7 @@ impl ClusterSimulation {
                     let _span = self.telemetry.span(Phase::ReclaimLadder);
                     {
                         let _sampling = self.telemetry.span(Phase::UtilizationSampling);
-                        self.observe_utilizations(
-                            manager,
-                            workload,
-                            running,
-                            time,
-                            pool.as_deref(),
-                        );
+                        Self::observe_utilizations(manager, workload, running, time);
                     }
                     let outcome = manager.restore_capacity(
                         server,
@@ -861,10 +791,7 @@ impl ClusterSimulation {
                 }
                 SimEvent::UtilizationTick => {
                     let _span = self.telemetry.span(Phase::UtilizationSampling);
-                    // Per-server values are read shard-parallel; the
-                    // cross-server fold stays sequential in server order so
-                    // the f64 sum is bit-identical for every shard count.
-                    let (used, capacity) = manager.cpu_usage_snapshot(self.shards);
+                    let (used, capacity) = manager.cpu_usage_snapshot(ShardConfig::sequential());
                     let value = if capacity <= 0.0 {
                         0.0
                     } else {
@@ -881,8 +808,7 @@ impl ClusterSimulation {
                     // Autoscaling decisions hang off the same ticks: the
                     // autoscaler observes each app against the settled
                     // cluster state and schedules ScaleOut / ScaleIn
-                    // events at the coordinator — deterministic at any
-                    // shard count.
+                    // events in the engine's global event order.
                     if let Some(autoscaler) = autoscaler.as_mut() {
                         let _decide = self.telemetry.span(Phase::Autoscale);
                         for (t, event) in autoscaler.on_tick(time, &*manager) {
@@ -1033,13 +959,11 @@ impl ClusterSimulation {
         );
         let autoscale = autoscaler.map(Autoscaler::into_stats).unwrap_or_default();
         // Final-state metrics are published exactly once, from settled
-        // counters, so snapshots are deterministic at any shard count.
+        // counters, so snapshots are deterministic.
         manager.publish_metrics();
         autoscale.publish_metrics(&self.telemetry);
         self.telemetry
             .gauge_set("engine.events_processed", events_processed as f64);
-        self.telemetry
-            .gauge_set("engine.shards", self.shards.count() as f64);
         SimResult {
             records,
             counters: manager.counters(),
@@ -1054,7 +978,7 @@ impl ClusterSimulation {
             runtime: RunStats {
                 wall_clock_secs: started_at.elapsed().as_secs_f64(),
                 events_processed,
-                shards: self.shards.count(),
+                shards: 1,
             },
         }
     }
@@ -1070,7 +994,7 @@ impl ClusterSimulation {
         &self,
         workload: &[WorkloadVm],
         manager: &ClusterManager,
-        queue: &ShardedEventQueue,
+        queue: &EventQueue,
         index_of: &HashMap<VmId, usize>,
         records: &[VmRecord],
         running: &[bool],
@@ -1160,42 +1084,19 @@ impl ClusterSimulation {
         Ok(())
     }
 
-    /// Build the per-VM record skeletons, fanning the spec/trace clones out
-    /// to one worker per shard for large workloads. Record `i` depends only
-    /// on workload entry `i`, so chunked construction is trivially
-    /// bit-identical to the sequential pass.
-    fn initial_records(&self, workload: &[WorkloadVm], pool: Option<&WorkerPool>) -> Vec<VmRecord> {
-        let make = |vm: &WorkloadVm| VmRecord {
-            spec: vm.spec.clone(),
-            arrival_secs: vm.arrival_secs,
-            departure_secs: vm.departure_secs,
-            outcome: VmOutcome::Rejected,
-            allocation_history: Vec::new(),
-            cpu_util: vm.cpu_util.clone(),
-        };
-        if !self.shards.is_parallel() {
-            return workload.iter().map(make).collect();
-        }
-        let spans = self.shards.spans(workload.len());
-        let mut partials: Vec<Option<Vec<VmRecord>>> = (0..spans.len()).map(|_| None).collect();
-        {
-            let mut tasks: Vec<Task<'_>> = Vec::with_capacity(spans.len());
-            let mut slots = partials.as_mut_slice();
-            for span in &spans {
-                let (slot, rest) = slots.split_first_mut().expect("one slot per span");
-                slots = rest;
-                let chunk = &workload[span.clone()];
-                tasks.push(Box::new(move || {
-                    *slot = Some(chunk.iter().map(make).collect());
-                }));
-            }
-            run_tasks(pool, self.shards.count(), tasks);
-        }
-        let mut records = Vec::with_capacity(workload.len());
-        for partial in partials {
-            records.extend(partial.expect("record-init worker ran"));
-        }
-        records
+    /// Build the per-VM record skeletons, one per workload entry.
+    fn initial_records(workload: &[WorkloadVm]) -> Vec<VmRecord> {
+        workload
+            .iter()
+            .map(|vm| VmRecord {
+                spec: vm.spec.clone(),
+                arrival_secs: vm.arrival_secs,
+                departure_secs: vm.departure_secs,
+                outcome: VmOutcome::Rejected,
+                allocation_history: Vec::new(),
+                cpu_util: vm.cpu_util.clone(),
+            })
+            .collect()
     }
 
     /// Refresh every running VM's recent-utilisation sample from its trace
@@ -1204,59 +1105,18 @@ impl ClusterSimulation {
     /// Only consequential — and only paid for — when a dirty-rate model
     /// is active: without one the samples could never influence an
     /// estimate, so the O(workload) pass is skipped.
-    ///
-    /// Sharded runs split the pass twice: trace sampling (pure per-VM
-    /// reads) fans out over workload chunks, and the per-domain history
-    /// updates fan out over server shards
-    /// ([`ClusterManager::observe_vm_utilizations`]). Chunks concatenate
-    /// in workload order and each domain receives exactly one sample per
-    /// pass, so both halves are bit-identical to the sequential loop.
     fn observe_utilizations(
-        &self,
         manager: &mut ClusterManager,
         workload: &[WorkloadVm],
         running: &[bool],
         time: f64,
-        pool: Option<&WorkerPool>,
     ) {
         if manager.migration_cost().dirty_rate_mbps <= 0.0 {
             return;
         }
-        let sample = |(i, vm): (usize, &WorkloadVm)| {
-            running[i].then(|| (vm.spec.id, vm.cpu_util.at(time - vm.arrival_secs)))
-        };
-        let samples: Vec<(VmId, f64)> = if self.shards.is_parallel() {
-            let spans = self.shards.spans(workload.len());
-            let mut partials: Vec<Option<Vec<(VmId, f64)>>> =
-                (0..spans.len()).map(|_| None).collect();
-            {
-                let mut tasks: Vec<Task<'_>> = Vec::with_capacity(spans.len());
-                let mut slots = partials.as_mut_slice();
-                for span in &spans {
-                    let (slot, rest) = slots.split_first_mut().expect("one slot per span");
-                    slots = rest;
-                    let base = span.start;
-                    let chunk = &workload[span.clone()];
-                    tasks.push(Box::new(move || {
-                        *slot = Some(
-                            chunk
-                                .iter()
-                                .enumerate()
-                                .filter_map(|(k, vm)| sample((base + k, vm)))
-                                .collect(),
-                        );
-                    }));
-                }
-                run_tasks(pool, self.shards.count(), tasks);
-            }
-            partials
-                .into_iter()
-                .flat_map(|p| p.expect("trace-sampling worker ran"))
-                .collect()
-        } else {
-            workload.iter().enumerate().filter_map(sample).collect()
-        };
-        manager.observe_vm_utilizations(&samples, self.shards);
+        for (vm, _) in workload.iter().zip(running).filter(|(_, &run)| run) {
+            manager.observe_vm_utilization(vm.spec.id, vm.cpu_util.at(time - vm.arrival_secs));
+        }
     }
 
     /// Fold a capacity-change outcome into the per-VM bookkeeping: evicted
@@ -1275,7 +1135,7 @@ impl ClusterSimulation {
         records: &mut [VmRecord],
         running: &mut [bool],
         migrations: &mut Vec<MigrationEvent>,
-        queue: &mut ShardedEventQueue,
+        queue: &mut EventQueue,
         autoscaler: &mut Option<Autoscaler>,
     ) {
         for &victim in &outcome.victims {
@@ -1511,54 +1371,6 @@ mod tests {
             .with_migrate_back(true)
             .run(&workload);
         assert_eq!(result, again);
-    }
-
-    #[test]
-    fn sharded_engine_is_bit_identical_to_sequential() {
-        let workload = small_workload(160, 41);
-        let servers =
-            (crate::spec::min_cluster_size(&workload, ResourceVector::cpu_mem(48_000.0, 131_072.0))
-                as f64
-                / 1.3)
-                .floor()
-                .max(2.0) as usize;
-        let schedule = deflate_transient::signal::CapacitySchedule::generate(&TransientConfig {
-            num_servers: servers,
-            transient_fraction: 1.0,
-            duration_secs: 12.0 * 3600.0,
-            profile: CapacityProfile::SquareWave {
-                period_secs: 2.0 * 3600.0,
-                keep_fraction: 0.5,
-                duty: 0.4,
-            },
-            seed: 7,
-        });
-        // A dirty-rate model makes the utilisation-observation pass (the
-        // sharded trace sampling) actually run.
-        let cost = deflate_hypervisor::migration::MigrationCostModel::lan_default()
-            .with_budget_mbps(1250.0)
-            .with_deadline_secs(30.0)
-            .with_dirty_rate(800.0, 2.0);
-        let run = |shards: usize| {
-            ClusterSimulation::new(config(servers), proportional())
-                .with_capacity_schedule(schedule.clone())
-                .with_utilization_ticks(1800.0)
-                .with_migrate_back(true)
-                .with_migration_cost(cost)
-                .with_shards(deflate_core::shard::ShardConfig::with_shards(shards))
-                .run(&workload)
-        };
-        let sequential = run(1);
-        assert!(sequential.runtime.events_processed > 0);
-        assert_eq!(sequential.runtime.shards, 1);
-        for shards in [2, 3, 4, 8] {
-            let sharded = run(shards);
-            assert_eq!(sharded.runtime.shards, shards);
-            assert_eq!(
-                sequential, sharded,
-                "{shards}-shard run diverged from the sequential engine"
-            );
-        }
     }
 
     #[test]

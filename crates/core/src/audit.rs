@@ -1,22 +1,20 @@
 //! The online-audit knob: which engine invariants a run checks as it goes.
 //!
 //! [`AuditSpec`] is plain configuration data, mirroring the other engine
-//! knobs ([`TelemetrySpec`](crate::telemetry::TelemetrySpec),
-//! [`ShardConfig`](crate::shard::ShardConfig)): the checkers themselves
-//! live in `deflate-cluster`'s `audit` module, which turns a spec into a
-//! live `Auditor` riding the event loop. Keeping the knob here lets every
+//! knobs ([`TelemetrySpec`](crate::telemetry::TelemetrySpec), the policy
+//! enums): the checkers themselves live in `deflate-cluster`'s `audit`
+//! module, which turns a spec into a live `Auditor` riding the event loop. Keeping the knob here lets every
 //! layer name the configuration without depending on the machinery.
 //!
-//! Two standing contracts, pinned by `tests/telemetry_determinism.rs` and
-//! `tests/shard_parity.rs`:
+//! Two standing contracts, pinned by `tests/telemetry_determinism.rs`:
 //!
 //! * **Off by default.** `AuditSpec::default()` enables nothing; a run
 //!   without the knob behaves exactly as before the auditor existed.
 //! * **Auditing never changes results.** Every checker is a read-only
 //!   observer of settled state between events: enabling all of them
-//!   leaves every `SimResult` field bit-identical to an audit-off run,
-//!   at every shard count. A checker that *fires* aborts the run with a
-//!   diagnostic — by then the state is, by definition, already wrong.
+//!   leaves every `SimResult` field bit-identical to an audit-off run. A
+//!   checker that *fires* aborts the run with a diagnostic — by then the
+//!   state is, by definition, already wrong.
 
 use serde::{Deserialize, Serialize};
 

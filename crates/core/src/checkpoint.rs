@@ -28,9 +28,8 @@
 //!   `u64`; `f64` travels as its IEEE-754 bit pattern (`to_bits`), so
 //!   values round-trip bit-exactly, including `-0.0` and infinities.
 //! * Collections are length-prefixed (`u64` count). Hash maps are
-//!   serialized sorted by key so snapshot bytes never depend on hash
-//!   iteration order; writers with per-shard state serialize a canonical
-//!   merged order so bytes are shard-count independent.
+//!   serialized sorted by key, and heaps in their pop order, so snapshot
+//!   bytes never depend on hash iteration order or heap layout.
 //! * No wall-clock or host-dependent value may be written: two
 //!   snapshots of the same run at the same event boundary must be
 //!   byte-identical across machines and across time.

@@ -22,16 +22,10 @@
 //! * [`policy`] — server-level deflation policies: proportional (Eq 1–2),
 //!   priority-weighted (Eq 3–4) and deterministic, plus reinflation.
 //! * [`placement`] — deflation-aware placement: cosine fitness, bin-packing
-//!   baselines, cluster partitions (§5.2) and the placement-ranking engine
-//!   knob ([`PlacementEngine`]): whether the cluster manager's incremental
-//!   score index evaluates ranking passes sequentially (the default) or
-//!   fans them out to worker spans with a deterministic reduce.
+//!   baselines and cluster partitions (§5.2).
 //! * [`pricing`] — static, priority-based and allocation-based pricing
 //!   (§5.2.2) and the revenue accounting behind Figure 22.
-//! * [`shard`] — the engine-sharding knob ([`ShardConfig`]): how many
-//!   worker threads the discrete-event simulator fans per-server work out
-//!   to, with the guarantee that any shard count is bit-identical to the
-//!   sequential engine.
+//! * [`shard`] — the retired engine-sharding knob, kept as a name only.
 //! * [`telemetry`] — the observability knob ([`TelemetrySpec`]): which
 //!   telemetry sinks (metrics registry, phase profiler, JSONL event log,
 //!   Chrome trace) a run should feed, **off by default**, with the
@@ -84,9 +78,7 @@ pub use audit::AuditSpec;
 pub use checkpoint::{ByteReader, ByteWriter, CheckpointError, SNAPSHOT_VERSION};
 pub use error::{DeflateError, Result};
 pub use perfmodel::PerfModel;
-pub use placement::PlacementEngine;
 pub use resources::{ResourceKind, ResourceVector};
-pub use shard::ShardConfig;
 pub use telemetry::{TelemetryEventKind, TelemetryEventSet, TelemetrySpec};
 pub use vm::{Priority, ServerId, VmAllocation, VmClass, VmId, VmSpec};
 
@@ -96,8 +88,8 @@ pub mod prelude {
     pub use crate::error::{DeflateError, Result};
     pub use crate::perfmodel::PerfModel;
     pub use crate::placement::{
-        BestFit, CosineFitness, FirstFit, PartitionScheme, PartitionedPlacement, PlacementEngine,
-        PlacementPolicy, ServerView, WorstFit,
+        BestFit, CosineFitness, FirstFit, PartitionScheme, PartitionedPlacement, PlacementPolicy,
+        ServerView, WorstFit,
     };
     pub use crate::policy::{
         AllocationView, AutoscaleParams, AutoscalePolicy, DeflationPolicy, DeterministicDeflation,
@@ -106,7 +98,6 @@ pub mod prelude {
     };
     pub use crate::pricing::{PricingPolicy, RateCard};
     pub use crate::resources::{ResourceKind, ResourceVector};
-    pub use crate::shard::ShardConfig;
     pub use crate::telemetry::{TelemetryEventKind, TelemetryEventSet, TelemetrySpec};
     pub use crate::vm::{Priority, ServerId, VmAllocation, VmClass, VmId, VmSpec};
 }

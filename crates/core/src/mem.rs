@@ -10,7 +10,7 @@
 //! one ledger without double counting.
 //!
 //! The numbers are an *estimate with a contract*: deterministic
-//! (identical across runs, shard counts and hosts — no pointers, no
+//! (identical across runs and hosts — no pointers, no
 //! allocator introspection) and honest about what they cover (owned
 //! heap blocks, not allocator slack or code). `fig_memory`'s CI gate
 //! checks the estimate explains ≥ 70 % of measured peak RSS, so the

@@ -1,105 +1,17 @@
-//! The placement-ranking engine knob.
+//! The retired placement-ranking engine knob.
 //!
-//! Placement ranking — scoring candidate servers for one arrival — is the
-//! engine's measured bottleneck at large cluster sizes (`placement_rank`
-//! is 75.6% of engine self time at 100k VMs; see `docs/PERFORMANCE.md`).
-//! The cluster manager maintains an **incremental score index** over
-//! server views either way; [`PlacementEngine`] decides how that index
-//! *evaluates* a ranking pass:
-//!
-//! * [`PlacementEngine::Sequential`] (the default) scores eligible
-//!   servers on the coordinator thread, in server order — today's
-//!   behaviour, and what every regression test pins.
-//! * [`PlacementEngine::Parallel`] fans the pure-read scoring pass out to
-//!   one worker per span of servers and reduces the per-span argmaxes in
-//!   span order — strictly-greater score replaces, ties keep the earlier
-//!   span — reproducing the sequential first-argmax **bit for bit** (the
-//!   same trick the utilisation tick uses for cross-shard sums).
-//!
-//! Like [`ShardConfig`](crate::shard::ShardConfig) and
-//! [`TelemetrySpec`](crate::telemetry::TelemetrySpec), the knob lives in
-//! `deflate-core` as plain configuration data so any layer can name it
-//! without depending on the ranking machinery in `deflate-cluster`. It is
-//! a **performance** setting, never a semantic one: `tests/shard_parity.rs`
-//! pins parallel-ranking runs bit-identical to the sequential default and
-//! `tests/placement_golden.rs` pins the default itself.
+//! The cluster manager's incremental score index ranks candidate servers
+//! on the event-loop thread, in server order — the behaviour
+//! `tests/placement_golden.rs` pins. [`PlacementEngine`] no longer
+//! selects anything and survives only as a name the frozen `perfbench/`
+//! harness passes to the `with_placement_engine` builders.
 
 use serde::{Deserialize, Serialize};
 
-/// How the cluster manager's placement index evaluates a ranking pass.
+/// Kept only because `perfbench/` names it; its one value is the sequential ranking pass.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
 pub enum PlacementEngine {
-    /// Score eligible servers on the coordinator thread, in server order
-    /// — the default, regression-pinned behaviour.
+    /// Score eligible servers in server order — the only ranking pass.
     #[default]
     Sequential,
-    /// Fan scoring out to `workers` spans of servers with a deterministic
-    /// span-order reduce. Zero is clamped to one (the sequential engine).
-    Parallel {
-        /// Number of scoring workers (spans). `0` and `1` both degrade
-        /// to the sequential pass.
-        workers: usize,
-    },
-}
-
-impl PlacementEngine {
-    /// The sequential ranking pass (what `Default` also yields).
-    pub fn sequential() -> Self {
-        PlacementEngine::Sequential
-    }
-
-    /// A parallel ranking pass with `workers` scoring spans. Values
-    /// below 2 degrade to the sequential engine.
-    pub fn parallel(workers: usize) -> Self {
-        if workers < 2 {
-            PlacementEngine::Sequential
-        } else {
-            PlacementEngine::Parallel { workers }
-        }
-    }
-
-    /// The effective worker count: 1 for the sequential pass, the
-    /// clamped span count otherwise (a `0` smuggled in through a struct
-    /// literal or `Deserialize` degrades to sequential).
-    pub fn workers(&self) -> usize {
-        match self {
-            PlacementEngine::Sequential => 1,
-            PlacementEngine::Parallel { workers } => (*workers).max(1),
-        }
-    }
-
-    /// True when ranking actually fans out to worker threads.
-    pub fn is_parallel(&self) -> bool {
-        self.workers() > 1
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn default_is_sequential() {
-        assert_eq!(PlacementEngine::default(), PlacementEngine::Sequential);
-        assert_eq!(PlacementEngine::default(), PlacementEngine::sequential());
-        assert!(!PlacementEngine::default().is_parallel());
-        assert_eq!(PlacementEngine::default().workers(), 1);
-    }
-
-    #[test]
-    fn small_worker_counts_degrade_to_sequential() {
-        assert_eq!(PlacementEngine::parallel(0), PlacementEngine::Sequential);
-        assert_eq!(PlacementEngine::parallel(1), PlacementEngine::Sequential);
-        let zero = PlacementEngine::Parallel { workers: 0 };
-        assert_eq!(zero.workers(), 1);
-        assert!(!zero.is_parallel());
-    }
-
-    #[test]
-    fn parallel_reports_its_span_count() {
-        let engine = PlacementEngine::parallel(4);
-        assert_eq!(engine, PlacementEngine::Parallel { workers: 4 });
-        assert!(engine.is_parallel());
-        assert_eq!(engine.workers(), 4);
-    }
 }

@@ -1,155 +1,20 @@
-//! Engine-sharding configuration.
+//! The retired engine-sharding knob.
 //!
-//! The discrete-event simulator can split its global event queue into
-//! per-shard queues driven by a coordinator (see `deflate-transient`'s
-//! `ShardedEventQueue`) and fan embarrassingly-parallel per-server work
-//! out to one `std::thread` worker per shard. [`ShardConfig`] is the
-//! knob: how many shards to run, and how servers are partitioned across
-//! them.
-//!
-//! Sharding is a **performance** setting, never a semantic one: the
-//! engine guarantees that a run with any shard count is bit-identical
-//! to the sequential run (shards = 1, the default). The determinism
-//! contract and the parallelisation strategy are documented in
-//! `docs/PERFORMANCE.md`; the parity tests in `tests/shard_parity.rs`
-//! pin the guarantee.
-//!
-//! Servers are partitioned into *contiguous* index ranges — shard `k`
-//! of `S` owns servers `[k·⌈n/S⌉, (k+1)·⌈n/S⌉)` clipped to `n` — so a
-//! shard's state stays cache-local and the split is a cheap
-//! `split_at_mut` chain over the per-server controller array.
+//! The simulator runs one sequential event loop; [`ShardConfig`] no
+//! longer selects anything and survives only as a name the frozen
+//! `perfbench/` harness passes to `ClusterSimulation::with_shards`,
+//! `ClusterManager::cpu_usage_snapshot` and
+//! `ClusterManager::observe_vm_utilizations`.
 
 use serde::{Deserialize, Serialize};
-use std::ops::Range;
 
-/// How many shards the simulation engine runs, and how per-server state
-/// is partitioned across them.
+/// Kept only because `perfbench/` names it; every value is the sequential engine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub struct ShardConfig {
-    /// Number of shards (engine workers). `1` — the default — is the
-    /// sequential engine; anything larger fans per-shard work out to
-    /// `std::thread` workers while the coordinator preserves the global
-    /// event order. A value of `0` (possible via a struct literal or
-    /// deserialisation, which bypass [`with_shards`](Self::with_shards)'s
-    /// clamp) is treated as `1` by every method — see
-    /// [`count`](Self::count).
-    pub shards: usize,
-}
-
-impl Default for ShardConfig {
-    fn default() -> Self {
-        ShardConfig::sequential()
-    }
-}
+pub struct ShardConfig;
 
 impl ShardConfig {
-    /// The sequential engine: one shard, no worker threads — today's
-    /// behaviour, and what every regression test pins.
+    /// Kept only because `perfbench/` names it: the one (sequential) engine.
     pub fn sequential() -> Self {
-        ShardConfig { shards: 1 }
-    }
-
-    /// An engine with `shards` workers. Zero is clamped to one.
-    pub fn with_shards(shards: usize) -> Self {
-        ShardConfig {
-            shards: shards.max(1),
-        }
-    }
-
-    /// The effective shard count: [`shards`](Self::shards) with `0`
-    /// normalised to `1`, so a zero smuggled in through a struct literal
-    /// or `Deserialize` degrades to the sequential engine instead of
-    /// panicking with a divide-by-zero deep inside the partition maths.
-    pub fn count(&self) -> usize {
-        self.shards.max(1)
-    }
-
-    /// True when this configuration actually runs worker threads.
-    pub fn is_parallel(&self) -> bool {
-        self.count() > 1
-    }
-
-    /// The shard owning item `index` out of `count` items partitioned
-    /// into contiguous ranges (servers, workload slots, …). Returns 0
-    /// when `count` is 0.
-    pub fn shard_of(&self, index: usize, count: usize) -> usize {
-        if count == 0 {
-            return 0;
-        }
-        let span = count.div_ceil(self.count());
-        (index / span.max(1)).min(self.count() - 1)
-    }
-
-    /// The contiguous index ranges each shard owns when `count` items are
-    /// partitioned across the configured shards. Always returns exactly
-    /// [`count()`](Self::count) ranges; trailing ranges are empty when
-    /// `count < shards`.
-    pub fn spans(&self, count: usize) -> Vec<Range<usize>> {
-        let span = count.div_ceil(self.count()).max(1);
-        (0..self.count())
-            .map(|k| {
-                let start = (k * span).min(count);
-                let end = ((k + 1) * span).min(count);
-                start..end
-            })
-            .collect()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn default_is_sequential() {
-        assert_eq!(ShardConfig::default(), ShardConfig::sequential());
-        assert_eq!(ShardConfig::default().shards, 1);
-        assert!(!ShardConfig::default().is_parallel());
-        assert!(ShardConfig::with_shards(2).is_parallel());
-    }
-
-    #[test]
-    fn zero_clamps_to_one() {
-        assert_eq!(ShardConfig::with_shards(0).shards, 1);
-    }
-
-    #[test]
-    fn zero_struct_literal_degrades_to_sequential_without_panicking() {
-        // Struct literals and Deserialize bypass with_shards's clamp;
-        // every method must treat shards: 0 as the sequential engine.
-        let zero = ShardConfig { shards: 0 };
-        assert_eq!(zero.count(), 1);
-        assert!(!zero.is_parallel());
-        assert_eq!(zero.shard_of(5, 10), 0);
-        assert_eq!(zero.spans(10), vec![0..10]);
-    }
-
-    #[test]
-    fn spans_cover_everything_exactly_once() {
-        for shards in 1..6 {
-            for count in [0usize, 1, 2, 5, 7, 16, 100] {
-                let cfg = ShardConfig::with_shards(shards);
-                let spans = cfg.spans(count);
-                assert_eq!(spans.len(), shards);
-                let mut covered = 0;
-                for (k, span) in spans.iter().enumerate() {
-                    assert_eq!(span.start, covered.min(count));
-                    covered = span.end;
-                    for i in span.clone() {
-                        assert_eq!(cfg.shard_of(i, count), k, "item {i}, {shards} shards");
-                    }
-                }
-                assert_eq!(covered, count);
-            }
-        }
-    }
-
-    #[test]
-    fn shard_of_is_total_and_in_range() {
-        let cfg = ShardConfig::with_shards(4);
-        for i in 0..50 {
-            assert!(cfg.shard_of(i, 10) < 4);
-        }
-        assert_eq!(cfg.shard_of(0, 0), 0);
+        ShardConfig
     }
 }

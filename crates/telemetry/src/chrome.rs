@@ -1,11 +1,9 @@
 //! Chrome `trace_event` exporter: every profiler span becomes a
-//! `B`/`E` (duration begin/end) event pair, so a sharded run opens
-//! directly in Perfetto (<https://ui.perfetto.dev>) or
-//! `chrome://tracing`.
+//! `B`/`E` (duration begin/end) event pair, so a run opens directly in
+//! Perfetto (<https://ui.perfetto.dev>) or `chrome://tracing`.
 //!
-//! Thread mapping: `tid 0` is the coordinator (event loop), `tid s+1` is
-//! worker shard `s`. Timestamps are microseconds since the sink was
-//! created. The collection is capped — beyond `ChromeTrace::DEFAULT_CAP`
+//! Every span is written on `tid 0`, the event-loop thread. Timestamps
+//! are microseconds since the sink was created. The collection is capped — beyond `ChromeTrace::DEFAULT_CAP`
 //! events, new spans are counted as dropped rather than recorded — so a
 //! million-VM run cannot exhaust memory.
 
@@ -19,8 +17,6 @@ pub(crate) struct ChromeEvent {
     pub ph: u8,
     /// Microseconds since the sink epoch.
     pub ts_us: u64,
-    /// 0 = coordinator, shard + 1 = worker threads.
-    pub tid: u32,
 }
 
 /// In-memory collection of trace events, serialised on `finish()`.
@@ -74,9 +70,7 @@ impl ChromeTrace {
             out.push(ev.ph as char);
             out.push_str("\",\"ts\":");
             out.push_str(&ev.ts_us.to_string());
-            out.push_str(",\"pid\":1,\"tid\":");
-            out.push_str(&ev.tid.to_string());
-            out.push('}');
+            out.push_str(",\"pid\":1,\"tid\":0}");
         }
         out.push_str("\n]\n");
         out
@@ -188,42 +182,52 @@ pub fn validate_chrome_trace(text: &str) -> Result<ChromeTraceStats, String> {
 mod tests {
     use super::*;
 
-    fn ev(name: &'static str, ph: u8, ts_us: u64, tid: u32) -> ChromeEvent {
-        ChromeEvent {
-            name,
-            ph,
-            ts_us,
-            tid,
-        }
+    fn ev(name: &'static str, ph: u8, ts_us: u64) -> ChromeEvent {
+        ChromeEvent { name, ph, ts_us }
     }
 
     #[test]
     fn round_trips_through_validator() {
         let mut trace = ChromeTrace::new();
-        trace.push(ev("engine_total", b'B', 0, 0));
-        trace.push(ev("arrival", b'B', 5, 0));
-        trace.push(ev("arrival", b'E', 9, 0));
-        trace.push(ev("heapify", b'B', 2, 1));
-        trace.push(ev("heapify", b'E', 7, 1));
-        trace.push(ev("engine_total", b'E', 20, 0));
+        trace.push(ev("engine_total", b'B', 0));
+        trace.push(ev("heapify", b'B', 2));
+        trace.push(ev("heapify", b'E', 4));
+        trace.push(ev("arrival", b'B', 5));
+        trace.push(ev("arrival", b'E', 9));
+        trace.push(ev("engine_total", b'E', 20));
         let stats = validate_chrome_trace(&trace.to_json()).expect("valid trace");
         assert_eq!(stats.events, 6);
         assert_eq!(stats.spans, 3);
-        assert_eq!(stats.threads, 2);
+        assert_eq!(stats.threads, 1);
         assert_eq!(stats.max_depth, 2);
+    }
+
+    #[test]
+    fn validator_keeps_one_span_stack_per_thread() {
+        // Traces from other tools may interleave threads; spans nest per tid.
+        let text = r#"[
+{"name":"a","ph":"B","ts":0,"pid":1,"tid":0},
+{"name":"b","ph":"B","ts":1,"pid":1,"tid":1},
+{"name":"a","ph":"E","ts":2,"pid":1,"tid":0},
+{"name":"b","ph":"E","ts":3,"pid":1,"tid":1}
+]"#;
+        let stats = validate_chrome_trace(text).expect("valid two-thread trace");
+        assert_eq!(stats.spans, 2);
+        assert_eq!(stats.threads, 2);
+        assert_eq!(stats.max_depth, 1);
     }
 
     #[test]
     fn rejects_mismatched_and_unclosed_spans() {
         let mut trace = ChromeTrace::new();
-        trace.push(ev("a", b'B', 0, 0));
-        trace.push(ev("b", b'E', 1, 0));
+        trace.push(ev("a", b'B', 0));
+        trace.push(ev("b", b'E', 1));
         assert!(validate_chrome_trace(&trace.to_json())
             .unwrap_err()
             .contains("'a' is open"));
 
         let mut trace = ChromeTrace::new();
-        trace.push(ev("a", b'B', 0, 0));
+        trace.push(ev("a", b'B', 0));
         assert!(validate_chrome_trace(&trace.to_json())
             .unwrap_err()
             .contains("left open"));
@@ -237,7 +241,7 @@ mod tests {
         let mut trace = ChromeTrace::new();
         trace.cap = 2;
         for _ in 0..5 {
-            trace.push(ev("x", b'B', 0, 0));
+            trace.push(ev("x", b'B', 0));
         }
         assert_eq!(trace.len(), 2);
         assert_eq!(trace.dropped(), 3);

@@ -12,7 +12,7 @@
 //! * **Off by default** — the disabled sink costs one branch per call
 //!   site and allocates nothing.
 //! * **Observation never changes results** — enabling every sink leaves
-//!   each `SimResult` bit-identical, at any shard count.
+//!   each `SimResult` bit-identical.
 //!
 //! Module map:
 //!
@@ -43,11 +43,11 @@ pub mod sink;
 pub use chrome::{validate_chrome_trace, ChromeTraceStats};
 pub use deflate_core::telemetry::{TelemetryEventKind, TelemetryEventSet, TelemetrySpec};
 pub use events::{encode_event, parse_event_line, EventField, ParsedEvent};
-pub use memory::{map_entry_bytes, vec_bytes, vec_capacity_bytes, MemoryLedger};
-pub use profiler::{Phase, PhaseReport, PhaseRow, ShardRow};
+pub use memory::{map_entry_bytes, vec_bytes, MemoryLedger};
+pub use profiler::{Phase, PhaseReport, PhaseRow};
 pub use registry::{Histogram, HistogramSnapshot, MetricsRegistry, MetricsSnapshot};
 pub use runtime::{
     append_process_footer_json, peak_rss_mib, peak_rss_mib_from, process_tally, reset_peak_rss,
     rss_kib, rss_kib_from, secs, RuntimeTally,
 };
-pub use sink::{ShardSpanGuard, SpanGuard, TelemetryReport, TelemetrySink};
+pub use sink::{SpanGuard, TelemetryReport, TelemetrySink};

@@ -11,7 +11,7 @@
 //! streaming-engine work (ROADMAP item 1).
 //!
 //! Accounted bytes are an *estimate with a contract*: deterministic
-//! (identical across runs, shard counts and hosts — no pointers, no
+//! (identical across runs and hosts — no pointers, no
 //! allocator introspection) and honest about what they cover (owned heap
 //! blocks reachable from the subsystem, not allocator slack or code).
 //! The `fig_memory` CI gate checks the estimate explains ≥ 70 % of
@@ -81,7 +81,7 @@ impl MemoryLedger {
     }
 }
 
-pub use deflate_core::mem::{map_entry_bytes, vec_bytes, vec_capacity_bytes, MAP_ENTRY_OVERHEAD};
+pub use deflate_core::mem::{map_entry_bytes, vec_bytes, MAP_ENTRY_OVERHEAD};
 
 #[cfg(test)]
 mod tests {

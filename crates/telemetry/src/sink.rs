@@ -111,7 +111,7 @@ impl TelemetrySink {
 
     // ---- spans ---------------------------------------------------------
 
-    /// Open a coordinator-thread phase span; the returned RAII guard
+    /// Open a phase span; the returned RAII guard
     /// closes it on drop. Spans nest: each phase is attributed its
     /// *self* time (see [`crate::profiler`]). Must be entered/exited in
     /// stack order, which the guard enforces structurally.
@@ -121,28 +121,12 @@ impl TelemetrySink {
             Some(inner) if inner.profile || inner.chrome_enabled => inner,
             _ => return SpanGuard { live: None },
         };
-        inner_chrome_begin(live, phase, 0);
+        inner_chrome_event(live, phase, b'B');
         if live.profile {
             live.profiler.lock().expect("profiler lock").enter(phase);
         }
         SpanGuard {
             live: Some((Arc::clone(live), phase, Instant::now())),
-        }
-    }
-
-    /// Open a worker-thread span for `shard`. Worker spans don't join
-    /// the coordinator's nesting stack — they accumulate flat, per
-    /// `(shard, phase)`, and appear on Chrome-trace thread `shard + 1`.
-    #[must_use = "the span measures until the guard drops"]
-    pub fn shard_span(&self, shard: usize, phase: Phase) -> ShardSpanGuard {
-        let live = match &self.inner {
-            Some(inner) if inner.profile || inner.chrome_enabled => inner,
-            _ => return ShardSpanGuard { live: None },
-        };
-        let tid = (shard + 1) as u32;
-        inner_chrome_begin(live, phase, tid);
-        ShardSpanGuard {
-            live: Some((Arc::clone(live), phase, shard, Instant::now())),
         }
     }
 
@@ -306,31 +290,20 @@ impl TelemetrySink {
     }
 }
 
-fn inner_chrome_begin(inner: &Arc<SinkInner>, phase: Phase, tid: u32) {
+/// Push one begin (`b'B'`) or end (`b'E'`) event for `phase` into the
+/// Chrome trace, when that sink is on.
+fn inner_chrome_event(inner: &Arc<SinkInner>, phase: Phase, ph: u8) {
     if let Some(chrome) = &inner.chrome {
         let ts_us = inner.epoch.elapsed().as_micros() as u64;
         chrome.lock().expect("chrome lock").push(ChromeEvent {
             name: phase.name(),
-            ph: b'B',
+            ph,
             ts_us,
-            tid,
         });
     }
 }
 
-fn inner_chrome_end(inner: &Arc<SinkInner>, phase: Phase, tid: u32) {
-    if let Some(chrome) = &inner.chrome {
-        let ts_us = inner.epoch.elapsed().as_micros() as u64;
-        chrome.lock().expect("chrome lock").push(ChromeEvent {
-            name: phase.name(),
-            ph: b'E',
-            ts_us,
-            tid,
-        });
-    }
-}
-
-/// RAII guard for a coordinator phase span (see [`TelemetrySink::span`]).
+/// RAII guard for a phase span (see [`TelemetrySink::span`]).
 #[derive(Debug)]
 pub struct SpanGuard {
     live: Option<(Arc<SinkInner>, Phase, Instant)>,
@@ -347,29 +320,7 @@ impl Drop for SpanGuard {
                     .expect("profiler lock")
                     .exit(phase, elapsed);
             }
-            inner_chrome_end(&inner, phase, 0);
-        }
-    }
-}
-
-/// RAII guard for a worker-thread span (see [`TelemetrySink::shard_span`]).
-#[derive(Debug)]
-pub struct ShardSpanGuard {
-    live: Option<(Arc<SinkInner>, Phase, usize, Instant)>,
-}
-
-impl Drop for ShardSpanGuard {
-    fn drop(&mut self) {
-        if let Some((inner, phase, shard, start)) = self.live.take() {
-            let elapsed = start.elapsed();
-            if inner.profile {
-                inner
-                    .profiler
-                    .lock()
-                    .expect("profiler lock")
-                    .record_shard(shard, phase, elapsed);
-            }
-            inner_chrome_end(&inner, phase, (shard + 1) as u32);
+            inner_chrome_event(&inner, phase, b'E');
         }
     }
 }
@@ -432,17 +383,12 @@ mod tests {
                 let _arrival = sink.span(Phase::Arrival);
                 let _rank = sink.span(Phase::PlacementRank);
             }
-            let _shard = sink.shard_span(1, Phase::Heapify);
             sink.count("placements", 3);
             sink.observe("rank_secs", 0.001);
         }
         let report = sink.finish().unwrap();
         assert!(report.phases.engine_total > std::time::Duration::ZERO);
         assert!(!report.phases.self_time(Phase::Arrival).is_zero());
-        let shard_rows = &report.phases.shards;
-        assert_eq!(shard_rows.len(), 1);
-        assert_eq!(shard_rows[0].shard, 1);
-        assert_eq!(shard_rows[0].phase, Phase::Heapify);
         assert_eq!(report.metrics.counter("placements"), 3);
     }
 

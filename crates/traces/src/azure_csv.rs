@@ -55,7 +55,8 @@ pub enum CsvError {
         /// Columns expected.
         expected: usize,
     },
-    /// A numeric column failed to parse.
+    /// A numeric column failed to parse, or parsed to a non-finite value
+    /// (`inf`, `NaN`).
     BadNumber {
         /// 1-based line number.
         line: usize,
@@ -63,6 +64,13 @@ pub enum CsvError {
         column: usize,
         /// Offending text.
         value: String,
+    },
+    /// A line could not be read, e.g. because it is not valid UTF-8.
+    Unreadable {
+        /// 1-based line number.
+        line: usize,
+        /// The underlying I/O error, rendered.
+        reason: String,
     },
 }
 
@@ -85,6 +93,9 @@ impl std::fmt::Display for CsvError {
                 f,
                 "line {line}, column {column}: cannot parse number {value:?}"
             ),
+            CsvError::Unreadable { line, reason } => {
+                write!(f, "line {line}: cannot read line: {reason}")
+            }
         }
     }
 }
@@ -96,11 +107,46 @@ fn parse_f64(field: &str, line: usize, column: usize) -> Result<f64, CsvError> {
     if trimmed.is_empty() {
         return Ok(0.0);
     }
-    trimmed.parse::<f64>().map_err(|_| CsvError::BadNumber {
-        line,
-        column,
-        value: field.to_string(),
-    })
+    match trimmed.parse::<f64>() {
+        Ok(value) if value.is_finite() => Ok(value),
+        _ => Err(CsvError::BadNumber {
+            line,
+            column,
+            value: field.to_string(),
+        }),
+    }
+}
+
+/// Feed every data line of `reader` to `row` as its 1-based line number
+/// and comma-separated columns, skipping blank lines and `#` comments.
+/// A line that cannot be read or has fewer than `expected` columns is an
+/// error.
+fn for_each_row<R: BufRead>(
+    reader: R,
+    expected: usize,
+    mut row: impl FnMut(usize, &[&str]) -> Result<(), CsvError>,
+) -> Result<(), CsvError> {
+    for (idx, line) in reader.lines().enumerate() {
+        let line_no = idx + 1;
+        let line = line.map_err(|err| CsvError::Unreadable {
+            line: line_no,
+            reason: err.to_string(),
+        })?;
+        let trimmed = line.trim();
+        if trimmed.is_empty() || trimmed.starts_with('#') {
+            continue;
+        }
+        let cols: Vec<&str> = trimmed.split(',').collect();
+        if cols.len() < expected {
+            return Err(CsvError::MissingColumns {
+                line: line_no,
+                found: cols.len(),
+                expected,
+            });
+        }
+        row(line_no, &cols)?;
+    }
+    Ok(())
 }
 
 fn parse_category(field: &str) -> VmClass {
@@ -114,21 +160,7 @@ fn parse_category(field: &str) -> VmClass {
 /// Parse `vmtable.csv` content.
 pub fn parse_vmtable<R: BufRead>(reader: R) -> Result<Vec<VmTableRow>, CsvError> {
     let mut rows = Vec::new();
-    for (idx, line) in reader.lines().enumerate() {
-        let line_no = idx + 1;
-        let line = line.unwrap_or_default();
-        let trimmed = line.trim();
-        if trimmed.is_empty() || trimmed.starts_with('#') {
-            continue;
-        }
-        let cols: Vec<&str> = trimmed.split(',').collect();
-        if cols.len() < 11 {
-            return Err(CsvError::MissingColumns {
-                line: line_no,
-                found: cols.len(),
-                expected: 11,
-            });
-        }
+    for_each_row(reader, 11, |line_no, cols| {
         rows.push(VmTableRow {
             vm_key: cols[0].trim().to_string(),
             created_secs: parse_f64(cols[3], line_no, 3)?,
@@ -137,7 +169,8 @@ pub fn parse_vmtable<R: BufRead>(reader: R) -> Result<Vec<VmTableRow>, CsvError>
             core_count: parse_f64(cols[9], line_no, 9)?,
             memory_gib: parse_f64(cols[10], line_no, 10)?,
         });
-    }
+        Ok(())
+    })?;
     Ok(rows)
 }
 
@@ -149,25 +182,12 @@ pub type CpuReading = (f64, String, f64);
 /// each interval).
 pub fn parse_cpu_readings<R: BufRead>(reader: R) -> Result<Vec<CpuReading>, CsvError> {
     let mut rows = Vec::new();
-    for (idx, line) in reader.lines().enumerate() {
-        let line_no = idx + 1;
-        let line = line.unwrap_or_default();
-        let trimmed = line.trim();
-        if trimmed.is_empty() || trimmed.starts_with('#') {
-            continue;
-        }
-        let cols: Vec<&str> = trimmed.split(',').collect();
-        if cols.len() < 4 {
-            return Err(CsvError::MissingColumns {
-                line: line_no,
-                found: cols.len(),
-                expected: 4,
-            });
-        }
+    for_each_row(reader, 4, |line_no, cols| {
         let timestamp = parse_f64(cols[0], line_no, 0)?;
         let max_cpu = parse_f64(cols[3], line_no, 3)?;
         rows.push((timestamp, cols[1].trim().to_string(), max_cpu));
-    }
+        Ok(())
+    })?;
     Ok(rows)
 }
 
@@ -281,6 +301,39 @@ vmC,sub2,dep3,0,1800,5.0,1.0,2.0,Unknown,1,1.75
         assert!(parse_vmtable("\n# comment\n".as_bytes())
             .unwrap()
             .is_empty());
+    }
+
+    #[test]
+    fn non_finite_numbers_are_rejected_before_building_traces() {
+        // An `inf` deletion time would size the utilisation series at
+        // `usize::MAX` samples: a capacity-overflow panic.
+        let vmtable = "vmA,sub1,dep1,0,inf,95.0,20.0,80.0,Interactive,4,8.0\n";
+        let err = load_from_strings(vmtable, READINGS).unwrap_err();
+        assert_eq!(
+            err,
+            CsvError::BadNumber {
+                line: 1,
+                column: 4,
+                value: "inf".to_string(),
+            }
+        );
+        let err = parse_cpu_readings("NaN,vmA,1.0,40.0,20.0\n".as_bytes()).unwrap_err();
+        assert!(matches!(err, CsvError::BadNumber { column: 0, .. }));
+    }
+
+    #[test]
+    fn unreadable_lines_are_rejected_with_their_line_number() {
+        let mut vmtable = VMTABLE.as_bytes().to_vec();
+        vmtable.extend_from_slice(b"vm\xff,sub1,dep1,0,3600,95.0,20.0,80.0,Interactive,4,8.0\n");
+        let err = parse_vmtable(vmtable.as_slice()).unwrap_err();
+        assert!(
+            matches!(err, CsvError::Unreadable { line: 4, .. }),
+            "{err:?}"
+        );
+        assert!(err.to_string().starts_with("line 4: cannot read line"));
+        let readings = b"0,vmA,1.0,40.0,20.0\n300,vm\xfe,2.0,60.0,30.0\n";
+        let err = parse_cpu_readings(&readings[..]).unwrap_err();
+        assert!(matches!(err, CsvError::Unreadable { line: 2, .. }));
     }
 
     #[test]

@@ -200,11 +200,9 @@ impl Scheduled {
 
 /// The queue's total order over `(time, event)` pairs, earliest first:
 /// timestamp (`f64::total_cmp`), then event kind, then entity id, then the
-/// raw bits of the capacity payload. This is the *global* delivery order
-/// every engine — the single [`EventQueue`] and the sharded engine's
-/// coordinator merge (see [`crate::sharded`]) — agrees on; exposing it is
-/// what lets per-shard queues be merged without re-deriving the ordering.
-pub fn event_cmp(a: (f64, SimEvent), b: (f64, SimEvent)) -> Ordering {
+/// raw bits of the capacity payload — the order [`EventQueue::contents`]
+/// lists pending events in.
+fn event_cmp(a: (f64, SimEvent), b: (f64, SimEvent)) -> Ordering {
     let a = Scheduled {
         time: a.0,
         event: a.1,
@@ -278,11 +276,11 @@ impl EventQueue {
 
     /// A queue holding `events`, heapified in one linear pass
     /// (`BinaryHeap::from`) instead of `n` sift-up pushes — the
-    /// start-of-run bulk build the engine does once per shard. Pop order
-    /// is identical to pushing the events individually: the ordering is
-    /// total, so the drained sequence of a multiset is unique regardless
-    /// of the heap's internal layout. Panics on non-finite timestamps,
-    /// like [`push`](Self::push).
+    /// start-of-run bulk build, repeated on every snapshot restore. Pop
+    /// order is identical to pushing the events individually: the
+    /// ordering is total, so the drained sequence of a multiset is unique
+    /// regardless of the heap's internal layout. Panics on non-finite
+    /// timestamps, like [`push`](Self::push).
     pub fn from_events(events: Vec<(f64, SimEvent)>) -> Self {
         let scheduled: Vec<Scheduled> = events
             .into_iter()
@@ -313,12 +311,6 @@ impl EventQueue {
         self.heap.peek().map(|s| s.time)
     }
 
-    /// The earliest pending event as `(time, event)`, without removing it.
-    /// The sharded engine's coordinator compares shard heads through this.
-    pub fn peek(&self) -> Option<(f64, SimEvent)> {
-        self.heap.peek().map(|s| (s.time, s.event))
-    }
-
     /// Number of pending events.
     pub fn len(&self) -> usize {
         self.heap.len()
@@ -326,9 +318,9 @@ impl EventQueue {
 
     /// Every pending event in the queue's pop order, without draining it.
     /// `BinaryHeap::iter` yields an arbitrary layout-dependent order, so
-    /// the collected events are sorted under [`event_cmp`] — the result is
-    /// independent of how (and in what order) events were pushed, which is
-    /// what makes checkpoint bytes reproducible.
+    /// the collected events are sorted under the queue's total order — the
+    /// result is independent of how (and in what order) events were
+    /// pushed, which is what makes checkpoint bytes reproducible.
     pub fn contents(&self) -> Vec<(f64, SimEvent)> {
         let mut events: Vec<(f64, SimEvent)> =
             self.heap.iter().map(|s| (s.time, s.event)).collect();
@@ -502,6 +494,68 @@ mod tests {
     #[should_panic(expected = "non-finite")]
     fn bulk_build_rejects_nan_times() {
         let _ = EventQueue::from_events(vec![(f64::NAN, SimEvent::UtilizationTick)]);
+    }
+
+    /// Every event kind, with colliding timestamps to stress the tie-break.
+    fn soup(n: usize) -> Vec<(f64, SimEvent)> {
+        let mut events = Vec::new();
+        for i in 0..n {
+            let t = (i % 7) as f64;
+            let server = ServerId((i % 13) as u32);
+            events.push((t, SimEvent::Arrival(i)));
+            events.push((t + 0.5, SimEvent::Departure(i)));
+            events.push((
+                t,
+                SimEvent::CapacityReclaim {
+                    server,
+                    available_fraction: 0.25 + (i % 3) as f64 * 0.25,
+                },
+            ));
+            events.push((
+                t + 1.0,
+                SimEvent::CapacityRestore {
+                    server,
+                    available_fraction: 1.0,
+                },
+            ));
+            let migration = i as u64;
+            events.push((t, SimEvent::MigrationComplete { migration }));
+            let app = (i % 3) as u32;
+            events.push((t + 0.5, SimEvent::ScaleOut { app }));
+            events.push((t + 0.5, SimEvent::ScaleIn { app }));
+            if i % 5 == 0 {
+                events.push((t, SimEvent::UtilizationTick));
+            }
+        }
+        events
+    }
+
+    #[test]
+    fn contents_list_the_pop_order_without_draining() {
+        let events = soup(20);
+        let queue = EventQueue::from_events(events.clone());
+        let mut drained = EventQueue::from_events(events.clone());
+        let expected: Vec<(f64, SimEvent)> = std::iter::from_fn(|| drained.pop()).collect();
+        assert_eq!(queue.contents(), expected);
+        assert_eq!(queue.len(), events.len(), "contents must not drain");
+    }
+
+    #[test]
+    fn events_snapshot_round_trip() {
+        use deflate_core::checkpoint::{ByteReader, ByteWriter};
+        let events = soup(10);
+        let mut w = ByteWriter::new();
+        for &(_, mut e) in &events {
+            e.visit_state(&mut w).unwrap();
+        }
+        let bytes = w.into_bytes();
+        let mut r = ByteReader::new(&bytes);
+        for &(_, e) in &events {
+            let mut decoded = SimEvent::default();
+            decoded.visit_state(&mut r).unwrap();
+            assert_eq!(decoded, e);
+        }
+        r.finish().unwrap();
     }
 
     #[test]

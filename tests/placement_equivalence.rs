@@ -14,9 +14,7 @@
 //! index's pick ([`ClusterManager::placement_preview`]) against a
 //! from-scratch full rescan ([`ClusterManager::placement_full_rescan`])
 //! for a panel of probe VMs, across every placement policy, every
-//! reclamation mode and every partition scheme. A separate sequence runs
-//! the parallel [`PlacementEngine`] and pins it to the same full-rescan
-//! picks, score bits included.
+//! reclamation mode and every partition scheme.
 //!
 //! [`PlacementIndex`]: vmdeflate::cluster::placement::PlacementIndex
 //! [`ClusterManager::placement_preview`]: vmdeflate::cluster::manager::ClusterManager::placement_preview
@@ -27,13 +25,12 @@ use vmdeflate::cluster::manager::{
     ClusterConfig, ClusterManager, PendingMigration, PlacementKind, PlacementResult,
     ReclamationMode,
 };
-use vmdeflate::core::placement::{PartitionScheme, PlacementDecision, PlacementEngine};
+use vmdeflate::core::placement::{PartitionScheme, PlacementDecision};
 use vmdeflate::core::policy::ProportionalDeflation;
 use vmdeflate::core::resources::ResourceVector;
 use vmdeflate::core::vm::{Priority, ServerId, VmClass, VmId, VmSpec};
 use vmdeflate::hypervisor::domain::DeflationMechanism;
 use vmdeflate::hypervisor::migration::MigrationCostModel;
-use vmdeflate::transient::pool::WorkerPool;
 
 /// Tiny deterministic xorshift64 PRNG — no external dependency, stable
 /// across platforms, so every CI run replays the same mutation sequences.
@@ -313,28 +310,5 @@ fn index_matches_full_rescan_under_partitioning() {
         )
         .with_migration_cost(MigrationCostModel::lan_default());
         drive(&label, &mut manager, 0x5EED + s as u64, 150);
-    }
-}
-
-/// The parallel ranking fan-out (workers on a shared persistent pool)
-/// picks exactly what the sequential full rescan picks — same server,
-/// same score bits — after every mutation. This is the manager-level pin
-/// that `PlacementEngine::parallel` is a pure performance knob.
-#[test]
-fn parallel_engine_matches_sequential_full_rescan() {
-    let pool = Arc::new(WorkerPool::new(4));
-    for (mode_name, mode) in modes() {
-        let label = format!("parallel(4)/{mode_name}");
-        // 32 servers so the fan-out path (not its small-cluster sequential
-        // fallback) is actually exercised: 32 ≥ 2 × 4 workers.
-        let mut manager = ClusterManager::new(
-            &config(32, PlacementKind::CosineFitness, PartitionScheme::None),
-            mode,
-        )
-        .with_migration_cost(MigrationCostModel::lan_default())
-        .with_placement_engine(PlacementEngine::parallel(4))
-        .with_worker_pool(Some(pool.clone()));
-        assert!(manager.placement_engine().is_parallel());
-        drive(&label, &mut manager, 0xFA20u64, 120);
     }
 }

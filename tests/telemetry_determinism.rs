@@ -5,8 +5,8 @@
 //! * **Observation never changes results** — enabling every sink
 //!   (metrics + profiler + JSONL event log + Chrome trace) leaves every
 //!   `SimResult` field bit-identical to a telemetry-off run. Wall clock
-//!   and shard count are the only exemptions, and those are already
-//!   outside `SimResult`'s equality.
+//!   is the only exemption, and it is already outside `SimResult`'s
+//!   equality.
 //! * **Traces are well-formed** — every JSONL line round-trips through
 //!   the stub-serde deserializer, and the Chrome trace validates as a
 //!   parseable JSON array with matched begin/end span pairs.
@@ -17,7 +17,6 @@ use deflate_bench::scale_exp::{
 };
 use vmdeflate::cluster::spec::WorkloadVm;
 use vmdeflate::core::audit::AuditSpec;
-use vmdeflate::core::shard::ShardConfig;
 use vmdeflate::telemetry::{
     parse_event_line, validate_chrome_trace, TelemetryEventSet, TelemetrySink, TelemetrySpec,
 };
@@ -40,19 +39,14 @@ fn everything_on() -> TelemetrySpec {
 #[test]
 fn every_sink_enabled_leaves_the_result_bit_identical() {
     let workload = workload();
-    let (baseline, servers) = run_scale_cell(&workload, Scale::Quick, ShardConfig::sequential());
+    let (baseline, servers) = run_scale_cell(&workload, Scale::Quick);
     assert!(servers > 0);
     assert!(
         baseline.transient.reclaim_events > 0,
         "contract would be vacuous without reclamation activity"
     );
     let sink = TelemetrySink::in_memory(&everything_on());
-    let (observed, _) = run_scale_cell_with_telemetry(
-        &workload,
-        Scale::Quick,
-        ShardConfig::sequential(),
-        sink.clone(),
-    );
+    let (observed, _) = run_scale_cell_with_telemetry(&workload, Scale::Quick, sink.clone());
     assert_eq!(
         baseline, observed,
         "telemetry-on run diverged from telemetry-off"
@@ -72,7 +66,7 @@ fn every_sink_enabled_leaves_the_result_bit_identical() {
 #[test]
 fn every_audit_checker_enabled_leaves_the_result_bit_identical() {
     let workload = workload();
-    let (baseline, _) = run_scale_cell(&workload, Scale::Quick, ShardConfig::sequential());
+    let (baseline, _) = run_scale_cell(&workload, Scale::Quick);
     assert!(
         baseline.transient.reclaim_events > 0,
         "contract would be vacuous without reclamation activity"
@@ -84,8 +78,7 @@ fn every_audit_checker_enabled_leaves_the_result_bit_identical() {
             AuditSpec::all().with_placement_sample_every(1),
         ),
     ] {
-        let (audited, _) =
-            run_scale_cell_audited(&workload, Scale::Quick, ShardConfig::sequential(), spec);
+        let (audited, _) = run_scale_cell_audited(&workload, Scale::Quick, spec);
         assert_eq!(
             baseline, audited,
             "auditor-on run ({name}) diverged from auditor-off"
@@ -134,12 +127,7 @@ fn telemetry_is_off_by_default_and_the_disabled_sink_is_inert() {
 fn jsonl_lines_round_trip_through_the_stub_deserializer() {
     let workload = workload();
     let sink = TelemetrySink::in_memory(&everything_on());
-    let _ = run_scale_cell_with_telemetry(
-        &workload,
-        Scale::Quick,
-        ShardConfig::with_shards(2),
-        sink.clone(),
-    );
+    let _ = run_scale_cell_with_telemetry(&workload, Scale::Quick, sink.clone());
     let lines = sink.event_log_lines().expect("memory event log");
     assert!(!lines.is_empty());
     let mut last_time = f64::NEG_INFINITY;
@@ -176,12 +164,7 @@ fn kind_filter_and_sampling_thin_the_event_log() {
     let workload = workload();
     let run = |spec: &TelemetrySpec| {
         let sink = TelemetrySink::in_memory(spec);
-        let _ = run_scale_cell_with_telemetry(
-            &workload,
-            Scale::Quick,
-            ShardConfig::sequential(),
-            sink.clone(),
-        );
+        let _ = run_scale_cell_with_telemetry(&workload, Scale::Quick, sink.clone());
         sink.event_log_lines().expect("memory event log")
     };
     let all = run(&everything_on());
@@ -209,21 +192,12 @@ fn kind_filter_and_sampling_thin_the_event_log() {
 fn chrome_trace_is_valid_and_spans_are_matched() {
     let workload = workload();
     let sink = TelemetrySink::in_memory(&everything_on());
-    let _ = run_scale_cell_with_telemetry(
-        &workload,
-        Scale::Quick,
-        ShardConfig::with_shards(2),
-        sink.clone(),
-    );
+    let _ = run_scale_cell_with_telemetry(&workload, Scale::Quick, sink.clone());
     let json = sink.chrome_trace_json().expect("memory chrome trace");
     let stats = validate_chrome_trace(&json).expect("well-formed chrome trace");
     assert!(stats.spans > 0);
     assert_eq!(stats.events, 2 * stats.spans, "unmatched begin/end pairs");
-    assert!(
-        stats.threads >= 3,
-        "coordinator + 2 worker tids expected, saw {}",
-        stats.threads
-    );
+    assert_eq!(stats.threads, 1, "one event-loop tid expected");
     assert!(stats.max_depth >= 2, "nested spans expected");
 }
 
@@ -238,14 +212,9 @@ fn file_sinks_write_the_same_traces_to_disk() {
         .with_event_kinds(TelemetryEventSet::all())
         .with_chrome_trace(&trace_path);
     let workload = workload();
-    let (baseline, _) = run_scale_cell(&workload, Scale::Quick, ShardConfig::sequential());
+    let (baseline, _) = run_scale_cell(&workload, Scale::Quick);
     let sink = TelemetrySink::from_spec(&spec).expect("temp files open");
-    let (observed, _) = run_scale_cell_with_telemetry(
-        &workload,
-        Scale::Quick,
-        ShardConfig::sequential(),
-        sink.clone(),
-    );
+    let (observed, _) = run_scale_cell_with_telemetry(&workload, Scale::Quick, sink.clone());
     assert_eq!(baseline, observed, "file sinks changed the result");
     let report = sink.finish().expect("flush succeeds");
     assert_eq!(report.io_errors, 0);
