@@ -6,7 +6,9 @@
 //! memory-lean engine).
 //!
 //! Exits non-zero when the accounting acceptance contract breaks: the
-//! accounted total must cover ≥ 70 % of the run's peak RSS
+//! accounted total (the engine's heap ledger plus the measured `code`
+//! row, the process's file-backed pages) must cover ≥ 70 % of the run's
+//! peak RSS at every swept size
 //! ([`MEMORY_COVERAGE_FLOOR`](deflate_bench::memory_exp::MEMORY_COVERAGE_FLOOR))
 //! and the load-bearing subsystems (workload, vm_records, servers,
 //! event_queue) must all report bytes. CI runs the quick sweep — whose

@@ -459,7 +459,9 @@ impl ClusterManager {
             .map(|i| {
                 let server = SimServer::new(ServerId(i as u32), config.server_capacity)
                     .with_partition(partition_assignment[i]);
+                // Nothing drains the deflation notifications here.
                 LocalController::new(server, Arc::clone(&policy), config.mechanism)
+                    .without_notifications()
             })
             .collect();
         let index = PlacementIndex::new(controllers.iter().map(|c| c.server().view()).collect());
@@ -928,7 +930,6 @@ impl ClusterManager {
                             server: decision.server,
                         }
                     } else {
-                        self.counters.preempted_vms += 0; // counted by caller
                         PlacementResult::PlacedWithPreemption {
                             server: decision.server,
                             preempted,
@@ -1863,9 +1864,9 @@ impl ClusterManager {
     }
 
     /// Record this subsystem's owned heap bytes into the engine's memory
-    /// ledger: the per-server controllers (domains and notification
-    /// buffers), the incremental placement index, the transfer scheduler's
-    /// reservation ledgers, and the migration bookkeeping maps.
+    /// ledger: the per-server controllers (their domains), the incremental
+    /// placement index, the transfer scheduler's reservation ledgers, and
+    /// the migration bookkeeping maps.
     pub fn record_memory(&self, ledger: &mut MemoryLedger) {
         use deflate_core::mem::{map_entry_bytes, vec_capacity_bytes};
         use std::mem::size_of;

@@ -417,9 +417,10 @@ impl ClusterSimulation {
         // phases below) is `fig_profile`'s "other" row, so the phase
         // table always sums to the engine total.
         let _engine_total = self.telemetry.span(Phase::EngineTotal);
+        let overcommitment = self.overcommitment(workload);
         let mut state = self.boot(workload);
         self.drive(workload, &mut state, None);
-        self.finish(workload, state, started_at)
+        self.finish(workload, state, started_at, overcommitment)
     }
 
     /// Run the engine up to simulated time `at_secs` — processing every
@@ -457,10 +458,11 @@ impl ClusterSimulation {
     pub fn resume(&self, workload: &[WorkloadVm], snapshot: &[u8]) -> CheckpointResult<SimResult> {
         let started_at = std::time::Instant::now();
         let _engine_total = self.telemetry.span(Phase::EngineTotal);
+        let overcommitment = self.overcommitment(workload);
         let mut state = self.boot(workload);
         self.restore_state(workload, &mut state, snapshot)?;
         self.drive(workload, &mut state, None);
-        Ok(self.finish(workload, state, started_at))
+        Ok(self.finish(workload, state, started_at, overcommitment))
     }
 
     /// Restore a snapshot, drive the engine further to `at_secs`, and
@@ -485,6 +487,19 @@ impl ClusterSimulation {
     pub fn snapshot_time(snapshot: &[u8]) -> CheckpointResult<f64> {
         let mut r = ByteReader::with_header(snapshot)?;
         r.get_f64()
+    }
+
+    /// The workload's overcommitment of this cluster, for
+    /// [`SimResult::overcommitment`]. Its sweep allocates two 48-byte
+    /// events per VM plus the sort's scratch, so runs compute it before
+    /// [`boot`](Self::boot), while the engine state is still small, rather
+    /// than on top of the finished run's peak.
+    fn overcommitment(&self, workload: &[WorkloadVm]) -> f64 {
+        crate::spec::overcommitment_of(
+            workload,
+            self.config.server_capacity,
+            self.config.num_servers,
+        )
     }
 
     /// Whether runs carry an autoscaler: an enabled policy with at least
@@ -924,6 +939,7 @@ impl ClusterSimulation {
         workload: &[WorkloadVm],
         state: EngineState,
         started_at: std::time::Instant,
+        overcommitment: f64,
     ) -> SimResult {
         // Final memory-ledger publish: runs without utilisation ticks
         // still report settled `mem.*` gauges (and the scale-sweep's
@@ -952,11 +968,6 @@ impl ClusterSimulation {
         } = state;
         debug_assert!(manager.check_invariants());
         let _assembly = self.telemetry.span(Phase::ResultAssembly);
-        let overcommitment = crate::spec::overcommitment_of(
-            workload,
-            self.config.server_capacity,
-            self.config.num_servers,
-        );
         let autoscale = autoscaler.map(Autoscaler::into_stats).unwrap_or_default();
         // Final-state metrics are published exactly once, from settled
         // counters, so snapshots are deterministic.

@@ -13,8 +13,8 @@
 //! (identical across runs and hosts — no pointers, no
 //! allocator introspection) and honest about what they cover (owned
 //! heap blocks, not allocator slack or code). `fig_memory`'s CI gate
-//! checks the estimate explains ≥ 70 % of measured peak RSS, so the
-//! accounting cannot quietly rot.
+//! checks the estimate, plus the measured code pages, explains ≥ 70 %
+//! of measured peak RSS, so the accounting cannot quietly rot.
 
 /// Owned bytes behind a slice view: length × element size. The
 /// conservative, spine-only form — `Vec`-aware call sites should use

@@ -85,7 +85,7 @@ impl DeflationPolicy for DeterministicDeflation {
                 }
             }
             let shortfall = remaining.max(0.0);
-            build_plan(vms, &reclaim, demand, shortfall)
+            build_plan(vms, &reclaim, shortfall)
         } else {
             // Reinflation: "the highest priority VMs are reinflated first"
             // (§5.1.3). Binary as well: a VM is restored to its full size if
@@ -115,7 +115,7 @@ impl DeflationPolicy for DeterministicDeflation {
                     remaining = 0.0;
                 }
             }
-            build_plan(vms, &reclaim, demand, -remaining.max(0.0))
+            build_plan(vms, &reclaim, -remaining.max(0.0))
         }
     }
 }

@@ -49,7 +49,6 @@ pub use transfer::{TransferOrdering, TransferPolicy};
 use crate::resources::{ResourceKind, ResourceVector};
 use crate::vm::{VmAllocation, VmId};
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 
 /// Per-VM, per-resource state a scalar policy needs to make its decision.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -90,8 +89,6 @@ impl VmResourceState {
 /// Outcome of a scalar planning step.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ScalarPlan {
-    /// Resource kind this plan applies to (informational).
-    pub kind: Option<ResourceKind>,
     /// New allocation target for each VM, in the same order as the input.
     pub targets: Vec<(VmId, f64)>,
     /// Total amount reclaimed (positive) or returned (negative).
@@ -127,6 +124,7 @@ pub trait DeflationPolicy: Send + Sync {
     /// the given VMs.
     ///
     /// Invariants every implementation upholds:
+    /// * `targets` holds one entry per input VM, in input order;
     /// * each target lies in `[min, max]` of its VM;
     /// * `sum(current − target) == demand − shortfall` (up to rounding);
     /// * `shortfall` is non-negative for deflation and non-positive for
@@ -232,8 +230,11 @@ pub struct VectorPlanner;
 /// per-resource shortfalls.
 #[derive(Debug, Clone, PartialEq)]
 pub struct VectorPlan {
-    /// New allocation vectors keyed by VM.
-    pub targets: BTreeMap<VmId, ResourceVector>,
+    /// New allocation vector of every deflatable VM, in the order the VMs
+    /// were passed to [`VectorPlanner::plan`]. For a server's resident
+    /// domains that is ascending `VmId` order, the order
+    /// `SimServer::apply_targets` requires.
+    pub targets: Vec<(VmId, ResourceVector)>,
     /// Total reclaimed per resource (negative when reinflating).
     pub reclaimed: ResourceVector,
     /// Unmet demand per resource.
@@ -271,7 +272,7 @@ impl VectorPlanner {
         vms: &[V],
         demand: ResourceVector,
     ) -> VectorPlan {
-        let mut targets: BTreeMap<VmId, ResourceVector> = vms
+        let mut targets: Vec<(VmId, ResourceVector)> = vms
             .iter()
             .filter(|vm| vm.spec().deflatable)
             .map(|vm| (vm.spec().id, vm.current_allocation()))
@@ -285,10 +286,12 @@ impl VectorPlanner {
             }
             let states = Self::scalar_states(vms, kind);
             let plan = policy.plan(&states, d);
-            for (id, target) in &plan.targets {
-                if let Some(v) = targets.get_mut(id) {
-                    (*v)[kind] = *target;
-                }
+            // Scalar plans list their targets in input order, which is the
+            // order of `targets`: fill them positionally.
+            debug_assert_eq!(plan.targets.len(), targets.len());
+            for ((id, v), &(planned, target)) in targets.iter_mut().zip(&plan.targets) {
+                debug_assert_eq!(*id, planned);
+                v[kind] = target;
             }
             reclaimed[kind] = plan.reclaimed;
             shortfall[kind] = plan.shortfall;
@@ -307,12 +310,7 @@ impl VectorPlanner {
 /// The reported `reclaimed` figure is the *actual* change in total
 /// allocation, `Σ (current − target)`, which can exceed the demand for
 /// binary policies that over-reclaim, and is negative when reinflating.
-pub(crate) fn build_plan(
-    vms: &[VmResourceState],
-    reclaim: &[f64],
-    _demand: f64,
-    shortfall: f64,
-) -> ScalarPlan {
+pub(crate) fn build_plan(vms: &[VmResourceState], reclaim: &[f64], shortfall: f64) -> ScalarPlan {
     let mut reclaimed = 0.0;
     let targets = vms
         .iter()
@@ -324,7 +322,6 @@ pub(crate) fn build_plan(
         })
         .collect();
     ScalarPlan {
-        kind: None,
         targets,
         reclaimed,
         shortfall,
@@ -392,7 +389,6 @@ mod tests {
     #[test]
     fn scalar_plan_lookup() {
         let plan = ScalarPlan {
-            kind: Some(ResourceKind::Cpu),
             targets: vec![(VmId(1), 5.0), (VmId(2), 3.0)],
             reclaimed: 2.0,
             shortfall: 0.0,
@@ -430,7 +426,8 @@ mod tests {
         );
         assert!(plan.satisfied());
         assert_eq!(plan.targets.len(), 1);
-        let target = plan.targets[&VmId(1)];
+        let (id, target) = plan.targets[0];
+        assert_eq!(id, VmId(1));
         assert!((target.cpu() - 3000.0).abs() < 1e-6);
         // Untouched dimensions stay at their current values.
         assert!((target.memory() - 8192.0).abs() < 1e-6);

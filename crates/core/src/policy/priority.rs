@@ -159,7 +159,7 @@ impl DeflationPolicy for PriorityDeflation {
     fn plan(&self, vms: &[VmResourceState], demand: f64) -> ScalarPlan {
         if demand >= 0.0 {
             let (reclaim, shortfall) = self.solve_deflation(vms, demand);
-            build_plan(vms, &reclaim, demand, shortfall)
+            build_plan(vms, &reclaim, shortfall)
         } else {
             // Reinflation: resources flow back preferentially to high
             // priority VMs — the reverse of the deflation ordering — in
@@ -172,7 +172,7 @@ impl DeflationPolicy for PriorityDeflation {
                 .collect();
             let (ret, surplus) = weighted_return(&headroom, &weights, give);
             let reclaim: Vec<f64> = ret.iter().map(|r| -r).collect();
-            build_plan(vms, &reclaim, demand, -surplus)
+            build_plan(vms, &reclaim, -surplus)
         }
     }
 }

@@ -84,7 +84,7 @@ impl DeflationPolicy for ProportionalDeflation {
         if demand >= 0.0 {
             let headrooms: Vec<f64> = vms.iter().map(|v| v.deflatable_headroom()).collect();
             let (take, shortfall) = weighted_fill(&headrooms, &weights, demand);
-            build_plan(vms, &take, demand, shortfall)
+            build_plan(vms, &take, shortfall)
         } else {
             // Reinflation: run the proportional policy backwards (§5.1.3),
             // returning resources in proportion to the same weights.
@@ -92,7 +92,7 @@ impl DeflationPolicy for ProportionalDeflation {
             let headrooms: Vec<f64> = vms.iter().map(|v| v.reinflatable_headroom()).collect();
             let (ret, surplus) = weighted_return(&headrooms, &weights, give);
             let reclaim: Vec<f64> = ret.iter().map(|r| -r).collect();
-            build_plan(vms, &reclaim, demand, -surplus)
+            build_plan(vms, &reclaim, -surplus)
         }
     }
 }

@@ -61,11 +61,17 @@ pub enum AdmissionOutcome {
 }
 
 /// Per-server deflation controller.
+///
+/// A controller built with [`new`](Self::new) logs a
+/// [`DeflationNotification`] for every allocation change until
+/// [`take_notifications`](Self::take_notifications) drains them; one built
+/// [`without_notifications`](Self::without_notifications) logs none.
 pub struct LocalController {
     server: SimServer,
     policy: Arc<dyn DeflationPolicy>,
     mechanism: DeflationMechanism,
-    notifications: Vec<DeflationNotification>,
+    /// `None` when no owner drains the log.
+    notifications: Option<Vec<DeflationNotification>>,
 }
 
 impl LocalController {
@@ -80,8 +86,18 @@ impl LocalController {
             server,
             policy,
             mechanism,
-            notifications: Vec::new(),
+            notifications: Some(Vec::new()),
         }
+    }
+
+    /// Builder-style opt-out of the notification log, for an owner that
+    /// never calls [`take_notifications`](Self::take_notifications)
+    /// (the cluster manager). Allocation changes are then not even
+    /// diffed: deflation and reinflation skip the before-copy of the
+    /// residents' allocations.
+    pub fn without_notifications(mut self) -> Self {
+        self.notifications = None;
+        self
     }
 
     /// Read access to the underlying server.
@@ -100,16 +116,26 @@ impl LocalController {
         self.policy.name()
     }
 
-    /// Drain the accumulated notifications (oldest first).
+    /// Drain the accumulated notifications (oldest first). Always empty
+    /// for a controller built
+    /// [`without_notifications`](Self::without_notifications).
     pub fn take_notifications(&mut self) -> Vec<DeflationNotification> {
-        std::mem::take(&mut self.notifications)
+        self.notifications
+            .as_mut()
+            .map(std::mem::take)
+            .unwrap_or_default()
     }
 
     /// Owned heap bytes behind this controller: the server's domain map
-    /// plus the pending-notification buffer (the policy handle is shared
-    /// and accounted nowhere — an `Arc` to a stateless strategy).
+    /// plus the pending-notification buffer, if it keeps one (the policy
+    /// handle is shared and accounted nowhere — an `Arc` to a stateless
+    /// strategy).
     pub fn accounted_bytes(&self) -> u64 {
-        self.server.accounted_bytes() + deflate_core::mem::vec_capacity_bytes(&self.notifications)
+        self.server.accounted_bytes()
+            + self
+                .notifications
+                .as_ref()
+                .map_or(0, deflate_core::mem::vec_capacity_bytes)
     }
 
     /// Attempt to admit a new VM, deflating residents if needed (the
@@ -126,11 +152,6 @@ impl LocalController {
 
         // Step 2: compute the deflation required to accommodate the new VM.
         let needed = demand.saturating_sub(&free);
-        let snapshot_before: Vec<(VmId, ResourceVector)> = self
-            .server
-            .domains()
-            .map(|d| (d.spec.id, d.effective_allocation()))
-            .collect();
         let domains: Vec<_> = self.server.domains().collect();
         let plan = VectorPlanner::plan(self.policy.as_ref(), &domains, needed);
         if !plan.satisfied() {
@@ -140,12 +161,11 @@ impl LocalController {
                 shortfall: plan.shortfall,
             });
         }
-        let targets = plan.targets.clone();
-        drop(domains);
 
         // Step 3: perform the actual deflation and launch the VM.
-        self.server.apply_targets(&targets)?;
-        self.record_changes(&snapshot_before);
+        let before = self.allocations_if_logged();
+        self.server.apply_targets(&plan.targets)?;
+        self.record_changes(before);
         let reclaimed = plan.reclaimed;
         match self.server.create_domain(spec.clone(), self.mechanism) {
             Ok(_) => Ok(AdmissionOutcome::AdmittedWithDeflation { reclaimed }),
@@ -195,17 +215,11 @@ impl LocalController {
         if over.is_zero() {
             return ResourceVector::ZERO;
         }
-        let snapshot_before: Vec<(VmId, ResourceVector)> = self
-            .server
-            .domains()
-            .map(|d| (d.spec.id, d.effective_allocation()))
-            .collect();
         let domains: Vec<_> = self.server.domains().collect();
         let plan = VectorPlanner::plan(self.policy.as_ref(), &domains, over);
-        let targets = plan.targets.clone();
-        drop(domains);
-        let _ = self.server.apply_targets(&targets);
-        self.record_changes(&snapshot_before);
+        let before = self.allocations_if_logged();
+        let _ = self.server.apply_targets(&plan.targets);
+        self.record_changes(before);
         self.server
             .effective_used()
             .saturating_sub(&self.server.capacity)
@@ -231,30 +245,43 @@ impl LocalController {
         if free.is_zero() {
             return;
         }
-        let snapshot_before: Vec<(VmId, ResourceVector)> = self
-            .server
-            .domains()
-            .map(|d| (d.spec.id, d.effective_allocation()))
-            .collect();
         let domains: Vec<_> = self.server.domains().filter(|d| !d.is_parked()).collect();
         let plan = VectorPlanner::plan(self.policy.as_ref(), &domains, -free);
-        let targets = plan.targets.clone();
-        drop(domains);
+        let before = self.allocations_if_logged();
         // Ignore the (negative) shortfall: not being able to place all freed
         // resources simply means residents are already fully inflated.
-        let _ = self.server.apply_targets(&targets);
+        let _ = self.server.apply_targets(&plan.targets);
         debug_assert!(self.server.check_capacity_invariant().is_ok());
-        self.record_changes(&snapshot_before);
+        self.record_changes(before);
     }
 
-    fn record_changes(&mut self, before: &[(VmId, ResourceVector)]) {
-        for &(id, old) in before {
+    /// Every resident's effective allocation, for [`record_changes`] to
+    /// diff against, or `None` when nothing is logged.
+    ///
+    /// [`record_changes`]: Self::record_changes
+    fn allocations_if_logged(&self) -> Option<Vec<(VmId, ResourceVector)>> {
+        self.notifications.as_ref()?;
+        Some(
+            self.server
+                .domains()
+                .map(|d| (d.spec.id, d.effective_allocation()))
+                .collect(),
+        )
+    }
+
+    /// Log a notification for every resident whose allocation moved since
+    /// `before` was taken.
+    fn record_changes(&mut self, before: Option<Vec<(VmId, ResourceVector)>>) {
+        let (Some(before), Some(log)) = (before, self.notifications.as_mut()) else {
+            return;
+        };
+        for (id, old) in before {
             if let Some(domain) = self.server.domain(id) {
                 let new = domain.effective_allocation();
                 if (new - old).max_component().abs() > 1e-6
                     || (old - new).max_component().abs() > 1e-6
                 {
-                    self.notifications.push(DeflationNotification {
+                    log.push(DeflationNotification {
                         server: self.server.id,
                         vm: id,
                         old_allocation: old,

@@ -262,16 +262,30 @@ impl SimServer {
         self.domains.remove(&id).ok_or(DeflateError::UnknownVm(id))
     }
 
-    /// Apply new allocation targets to a set of domains (typically a
-    /// [`VectorPlan`](deflate_core::policy::VectorPlan) computed by a
-    /// deflation policy). Unknown VM ids are reported as errors; known
-    /// domains are updated through their configured mechanism.
-    pub fn apply_targets(&mut self, targets: &BTreeMap<VmId, ResourceVector>) -> Result<()> {
-        for (&id, &target) in targets {
-            let domain = self
-                .domains
-                .get_mut(&id)
-                .ok_or(DeflateError::UnknownVm(id))?;
+    /// Apply new allocation targets to a set of domains (typically the
+    /// [`VectorPlan::targets`](deflate_core::policy::VectorPlan::targets) a
+    /// deflation policy computed over this server's domains).
+    ///
+    /// `targets` must be in strictly ascending `VmId` order, the order of
+    /// [`domains`](Self::domains): the domain map is walked once, in step
+    /// with the targets. Each target is applied through its domain's
+    /// mechanism, in order. A VM id that is not resident stops the walk
+    /// with [`DeflateError::UnknownVm`]: the targets before it stay
+    /// applied, and none after it is.
+    pub fn apply_targets(&mut self, targets: &[(VmId, ResourceVector)]) -> Result<()> {
+        debug_assert!(
+            targets.windows(2).all(|w| w[0].0 < w[1].0),
+            "apply_targets needs targets in ascending VmId order"
+        );
+        let mut residents = self.domains.iter_mut();
+        for &(id, target) in targets {
+            let domain = loop {
+                match residents.next() {
+                    Some((&resident, domain)) if resident == id => break domain,
+                    Some((&resident, _)) if resident < id => {}
+                    _ => return Err(DeflateError::UnknownVm(id)),
+                }
+            };
             domain.deflate_to(target);
         }
         Ok(())
@@ -407,9 +421,8 @@ mod tests {
         )
         .unwrap();
         // Deflate the resident VM, then admit another one deflated.
-        let mut targets = BTreeMap::new();
-        targets.insert(VmId(1), ResourceVector::cpu_mem(4000.0, 8192.0));
-        s.apply_targets(&targets).unwrap();
+        s.apply_targets(&[(VmId(1), ResourceVector::cpu_mem(4000.0, 8192.0))])
+            .unwrap();
         s.create_domain_deflated(
             VmSpec::deflatable(
                 VmId(2),
@@ -425,15 +438,61 @@ mod tests {
         assert_eq!(s.effective_used().cpu(), 8000.0);
     }
 
+    /// A server with domains 2, 4 and 6 (4 cores each), for the
+    /// `apply_targets` contract tests.
+    fn three_residents() -> SimServer {
+        let mut s = SimServer::new(ServerId(1), capacity());
+        for id in [2, 4, 6] {
+            s.create_domain(spec(id, 4.0, 8192.0), DeflationMechanism::Transparent)
+                .unwrap();
+        }
+        s
+    }
+
     #[test]
     fn apply_targets_unknown_vm_errors() {
         let mut s = SimServer::new(ServerId(1), capacity());
-        let mut targets = BTreeMap::new();
-        targets.insert(VmId(99), ResourceVector::ZERO);
         assert!(matches!(
-            s.apply_targets(&targets),
+            s.apply_targets(&[(VmId(99), ResourceVector::ZERO)]),
             Err(DeflateError::UnknownVm(VmId(99)))
         ));
+    }
+
+    #[test]
+    fn apply_targets_stops_at_the_first_unknown_vm() {
+        let half = ResourceVector::new(2000.0, 4096.0, 50.0, 250.0);
+        // (targets, the first unknown id, the residents deflated before it)
+        let cases: [(&[u64], u64, &[u64]); 3] = [
+            (&[1, 2, 4], 1, &[]),
+            (&[2, 3, 4, 6], 3, &[2]),
+            (&[2, 4, 6, 7], 7, &[2, 4, 6]),
+        ];
+        for (ids, unknown, applied) in cases {
+            let mut s = three_residents();
+            let targets: Vec<_> = ids.iter().map(|&id| (VmId(id), half)).collect();
+            assert_eq!(
+                s.apply_targets(&targets),
+                Err(DeflateError::UnknownVm(VmId(unknown))),
+                "targets {ids:?}"
+            );
+            for id in [2, 4, 6] {
+                let expected = if applied.contains(&id) {
+                    2000.0
+                } else {
+                    4000.0
+                };
+                let cpu = s.domain(VmId(id)).unwrap().effective_allocation().cpu();
+                assert_eq!(cpu, expected, "targets {ids:?}, vm {id}");
+            }
+        }
+    }
+
+    #[test]
+    fn apply_targets_with_no_targets_changes_nothing() {
+        let mut s = three_residents();
+        let before = s.clone();
+        s.apply_targets(&[]).unwrap();
+        assert_eq!(s, before);
     }
 
     #[test]

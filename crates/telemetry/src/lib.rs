@@ -24,8 +24,8 @@
 //! * [`events`] — JSONL event-log encoding and its deserializer.
 //! * [`chrome`] — Chrome `trace_event` export and trace validation.
 //! * [`runtime`] — the shared `engine:` footer ([`RuntimeTally`]), the
-//!   graceful peak-RSS reader ([`peak_rss_mib`]) and the live-RSS
-//!   sampler ([`rss_kib`]).
+//!   graceful peak-RSS reader ([`peak_rss_mib`]), the live-RSS
+//!   sampler ([`rss_kib`]) and the code-page reader ([`rss_file_kib`]).
 //! * [`memory`] — the deterministic per-subsystem [`MemoryLedger`]
 //!   behind the `mem.*` gauges and `fig_memory`.
 
@@ -48,6 +48,6 @@ pub use profiler::{Phase, PhaseReport, PhaseRow};
 pub use registry::{Histogram, HistogramSnapshot, MetricsRegistry, MetricsSnapshot};
 pub use runtime::{
     append_process_footer_json, peak_rss_mib, peak_rss_mib_from, process_tally, reset_peak_rss,
-    rss_kib, rss_kib_from, secs, RuntimeTally,
+    rss_file_kib, rss_kib, rss_kib_from, secs, RuntimeTally,
 };
 pub use sink::{SpanGuard, TelemetryReport, TelemetrySink};

@@ -191,6 +191,21 @@ pub fn rss_kib_from(status: &str) -> Option<f64> {
     status_kib(status, "VmRSS:")
 }
 
+/// The process's file-backed resident pages in kiB, from
+/// `/proc/self/status`'s `RssFile` line: the executable's and its shared
+/// libraries' code and read-only data. No heap ledger sees these pages;
+/// `fig_memory` reports them as its `code` row. `None` on non-Linux
+/// hosts or unparseable procfs.
+pub fn rss_file_kib() -> Option<f64> {
+    rss_file_kib_from(&std::fs::read_to_string("/proc/self/status").ok()?)
+}
+
+/// Parse the `RssFile` line out of a `/proc/self/status` document.
+/// Split from [`rss_file_kib`] so the degraded paths are testable.
+fn rss_file_kib_from(status: &str) -> Option<f64> {
+    status_kib(status, "RssFile:")
+}
+
 /// Shared `/proc/self/status` field parser: the kiB value of `prefix`,
 /// `None` when absent, unparseable or zero.
 fn status_kib(status: &str, prefix: &str) -> Option<f64> {
@@ -259,6 +274,17 @@ mod tests {
         assert_eq!(rss_kib_from("VmRSS:   0 kB\n"), None);
         assert_eq!(rss_kib_from("VmRSS:   junk kB\n"), None);
         assert_eq!(rss_kib_from("VmRSS:   2048 kB\n"), Some(2048.0));
+    }
+
+    #[test]
+    fn rss_file_parser_reads_only_its_line() {
+        let status = "VmRSS:\t  9000 kB\nRssAnon:\t  6000 kB\nRssFile:\t  2900 kB\n";
+        assert_eq!(rss_file_kib_from(status), Some(2900.0));
+        assert_eq!(rss_file_kib_from("VmRSS:   2048 kB\n"), None);
+        assert_eq!(rss_file_kib_from("RssFile:   0 kB\n"), None);
+        if cfg!(target_os = "linux") {
+            assert!(rss_file_kib().expect("RssFile available on Linux") > 0.0);
+        }
     }
 
     #[test]

@@ -6,6 +6,7 @@ use vmdeflate::cluster::prelude::*;
 use vmdeflate::core::placement::PartitionScheme;
 use vmdeflate::core::policy::{DeterministicDeflation, PriorityDeflation, ProportionalDeflation};
 use vmdeflate::core::pricing::{PricingPolicy, RateCard};
+use vmdeflate::core::vm::VmId;
 use vmdeflate::hypervisor::domain::DeflationMechanism;
 use vmdeflate::traces::azure::{AzureTraceConfig, AzureTraceGenerator};
 
@@ -181,4 +182,39 @@ fn every_record_is_consistent() {
             .filter(|r| matches!(r.outcome, VmOutcome::Rejected))
             .count()
     );
+}
+
+#[test]
+fn the_manager_keeps_no_deflation_notification_backlog() {
+    // Nothing in the engine drains the local controllers' deflation
+    // notifications, so the manager must not log them: after ~2,000 VMs
+    // have come and gone on a 50%-overcommitted cluster (each admission
+    // under pressure deflating residents, each departure reinflating
+    // them), the servers own exactly the bytes of a freshly built cluster.
+    let workload = workload(2_000, 7, MinAllocationRule::None);
+    let config = config_at(&workload, 0.5);
+    let mode = || ReclamationMode::Deflation(Arc::new(ProportionalDeflation::default()));
+    let servers_bytes = |manager: &ClusterManager| {
+        let mut ledger = vmdeflate::telemetry::MemoryLedger::new();
+        manager.record_memory(&mut ledger);
+        ledger.get("servers")
+    };
+    let fresh = ClusterManager::new(&config, mode());
+
+    let mut manager = ClusterManager::new(&config, mode());
+    let placed: Vec<VmId> = workload
+        .iter()
+        .filter(|vm| manager.place_vm(vm.spec.clone()).is_placed())
+        .map(|vm| vm.spec.id)
+        .collect();
+    assert!(
+        manager.counters().admitted_with_deflation > 100,
+        "{:?}",
+        manager.counters()
+    );
+    assert!(servers_bytes(&manager) > servers_bytes(&fresh));
+    for vm in placed {
+        manager.remove_vm(vm).unwrap();
+    }
+    assert_eq!(servers_bytes(&manager), servers_bytes(&fresh));
 }

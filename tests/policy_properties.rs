@@ -1,14 +1,16 @@
 //! Property-based tests on the core deflation model: resource vectors,
-//! deflation policies and the performance-response model.
+//! deflation policies, applying vector plans to a server, and the
+//! performance-response model.
 
 use proptest::prelude::*;
 use vmdeflate::core::perfmodel::PerfModel;
 use vmdeflate::core::policy::{
     DeflationPolicy, DeterministicDeflation, PriorityDeflation, ProportionalDeflation,
-    VmResourceState,
+    VectorPlanner, VmResourceState,
 };
 use vmdeflate::core::resources::{ResourceKind, ResourceVector};
-use vmdeflate::core::vm::VmId;
+use vmdeflate::core::vm::{Priority, ServerId, VmClass, VmId, VmSpec};
+use vmdeflate::hypervisor::{DeflationMechanism, SimServer};
 
 fn arb_vector() -> impl Strategy<Value = ResourceVector> {
     (
@@ -94,8 +96,121 @@ fn check_plan_invariants(
     Ok(())
 }
 
+/// One resident drawn for [`arb_server`]: id gap, cores, memory per core,
+/// deflatable draw, priority, mechanism draw and the fraction of its
+/// allocation it is currently deflated to.
+type ResidentDraw = (u64, f64, f64, f64, f64, (f64, f64));
+
+fn arb_residents(max_vms: usize) -> impl Strategy<Value = Vec<ResidentDraw>> {
+    prop::collection::vec(
+        (
+            1u64..4,
+            1.0f64..16.0,
+            512.0f64..4096.0,
+            0.0f64..1.0,
+            0.05f64..1.0,
+            (0.0f64..3.0, 0.2f64..1.0),
+        ),
+        0..max_vms,
+    )
+}
+
+/// A server holding the drawn residents (about 80% deflatable, under all
+/// three mechanisms), each already deflated part of the way so that both
+/// deflation and reinflation have room to move.
+fn arb_server(residents: &[ResidentDraw]) -> SimServer {
+    let mut server = SimServer::new(ServerId(0), ResourceVector::splat(1e9));
+    let mut id = 0;
+    for &(gap, cores, mem_per_core, deflatable, priority, (mechanism, current)) in residents {
+        id += gap;
+        let max = ResourceVector::new(cores * 1000.0, cores * mem_per_core, 200.0, 1000.0);
+        let spec = if deflatable < 0.8 {
+            VmSpec::deflatable(VmId(id), VmClass::Interactive, max)
+                .with_priority(Priority::new(priority))
+                .with_priority_derived_min()
+        } else {
+            VmSpec::on_demand(VmId(id), VmClass::Unknown, max)
+        };
+        let mechanism = [
+            DeflationMechanism::Transparent,
+            DeflationMechanism::Hybrid,
+            DeflationMechanism::Explicit,
+        ][mechanism as usize];
+        server.create_domain(spec, mechanism).unwrap();
+        if deflatable < 0.8 {
+            let domain = server.domain_mut(VmId(id)).unwrap();
+            let target = (max * current).max(&domain.spec.min_allocation);
+            domain.deflate_to(target);
+        }
+    }
+    server
+}
+
+/// Plan `demand` (a fraction in `(-1, 1)` of the committed allocation per
+/// resource) over the server's residents, then check that
+/// `SimServer::apply_targets` leaves the domains exactly as applying each
+/// target with `Domain::deflate_to`, in plan order, does.
+fn check_apply_targets(
+    policy: &dyn DeflationPolicy,
+    server: &SimServer,
+    demand: (f64, f64, f64, f64),
+) -> Result<(), TestCaseError> {
+    let committed = server.committed();
+    let demand = ResourceVector::new(
+        committed.cpu() * demand.0,
+        committed.memory() * demand.1,
+        committed.disk_bw() * demand.2,
+        committed.net_bw() * demand.3,
+    );
+    let domains: Vec<_> = server.domains().collect();
+    let plan = VectorPlanner::plan(policy, &domains, demand);
+    let deflatable: Vec<VmId> = domains
+        .iter()
+        .filter(|d| d.spec.deflatable)
+        .map(|d| d.spec.id)
+        .collect();
+    let planned: Vec<VmId> = plan.targets.iter().map(|&(id, _)| id).collect();
+    prop_assert_eq!(planned, deflatable);
+
+    let mut applied = server.clone();
+    prop_assert!(applied.apply_targets(&plan.targets).is_ok());
+    let mut one_by_one = server.clone();
+    for &(id, target) in &plan.targets {
+        one_by_one.domain_mut(id).unwrap().deflate_to(target);
+    }
+    prop_assert!(
+        applied == one_by_one,
+        "{}: apply_targets diverged from per-target deflate_to",
+        policy.name()
+    );
+    Ok(())
+}
+
+fn arb_demand() -> impl Strategy<Value = (f64, f64, f64, f64)> {
+    (-1.0f64..1.0, -1.0f64..1.0, -1.0f64..1.0, -1.0f64..1.0)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn apply_targets_matches_per_target_deflate_to(
+        residents in arb_residents(16),
+        demand in arb_demand(),
+    ) {
+        let server = arb_server(&residents);
+        let policies: [&dyn DeflationPolicy; 4] = [
+            &ProportionalDeflation::default(),
+            &PriorityDeflation::weighted(),
+            &DeterministicDeflation::binary(),
+            &DeterministicDeflation::with_partial_last(),
+        ];
+        for policy in policies {
+            check_apply_targets(policy, &server, demand)?;
+            // The same demand run backwards: reinflation.
+            check_apply_targets(policy, &server, (-demand.0, -demand.1, -demand.2, -demand.3))?;
+        }
+    }
 
     #[test]
     fn proportional_plan_invariants(vms in arb_vm_states(12), demand in -50_000.0f64..100_000.0) {
