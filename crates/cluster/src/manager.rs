@@ -59,7 +59,7 @@ use deflate_core::placement::{
     BestFit, CosineFitness, FirstFit, PartitionScheme, PartitionedPlacement, PlacementDecision,
     PlacementEngine, PlacementPolicy, ServerView, WorstFit,
 };
-use deflate_core::policy::{DeflationPolicy, RestorePolicy, TransferPolicy};
+use deflate_core::policy::{DeflationPolicy, PlanScratch, RestorePolicy, TransferPolicy};
 use deflate_core::resources::{ResourceKind, ResourceVector};
 use deflate_core::shard::ShardConfig;
 use deflate_core::vm::{ServerId, VmId, VmSpec};
@@ -421,6 +421,10 @@ pub struct ClusterManager {
     /// view-affecting mutation must go through
     /// [`mark_server_dirty`](Self::mark_server_dirty).
     index: PlacementIndex,
+    /// Planning buffers every local controller borrows in turn for its
+    /// deflation and reinflation plans. Working space only: never
+    /// snapshotted, and no decision depends on what it held before.
+    plan_scratch: PlanScratch,
 }
 
 /// The deflation policy every local controller runs under `mode`.
@@ -487,6 +491,7 @@ impl ClusterManager {
             transient: TransientCounters::default(),
             telemetry: TelemetrySink::disabled(),
             index,
+            plan_scratch: PlanScratch::default(),
         }
     }
 
@@ -721,24 +726,37 @@ impl ClusterManager {
     /// In-flight destination reservations are excluded — a migrating VM is
     /// reported from its source server until the transfer completes.
     pub fn allocation_fractions_on(&self, server: ServerId) -> Vec<(VmId, f64)> {
+        let mut out = Vec::new();
+        self.for_each_allocation_fraction_on(server, |vm, frac| out.push((vm, frac)));
+        out
+    }
+
+    /// [`allocation_fractions_on`](Self::allocation_fractions_on) without
+    /// the `Vec`: calls `f` with each VM and fraction, in ascending VM
+    /// order.
+    ///
+    /// Every domain on a server is either located there or the inbound
+    /// reservation of an in-flight transfer, so the location of each
+    /// resident is looked up only while the server is some transfer's
+    /// destination.
+    pub fn for_each_allocation_fraction_on(&self, server: ServerId, mut f: impl FnMut(VmId, f64)) {
         let idx = self.server_index(server);
         if idx >= self.controllers.len() {
-            return Vec::new();
+            return;
         }
-        self.controllers[idx]
-            .server()
-            .domains()
-            .filter(|domain| self.vm_location.get(&domain.spec.id) == Some(&idx))
-            .map(|domain| {
-                let max = domain.spec.max_allocation[ResourceKind::Cpu];
-                let frac = if max <= 0.0 {
-                    1.0
-                } else {
-                    domain.effective_allocation()[ResourceKind::Cpu] / max
-                };
-                (domain.spec.id, frac)
-            })
-            .collect()
+        let inbound = self.in_flight.values().any(|flight| flight.dest == idx);
+        for domain in self.controllers[idx].server().domains() {
+            if inbound && self.vm_location.get(&domain.spec.id) != Some(&idx) {
+                continue;
+            }
+            let max = domain.spec.max_allocation[ResourceKind::Cpu];
+            let frac = if max <= 0.0 {
+                1.0
+            } else {
+                domain.effective_allocation()[ResourceKind::Cpu] / max
+            };
+            f(domain.spec.id, frac);
+        }
     }
 
     /// Cluster-wide overcommitment: committed allocations over hardware
@@ -856,7 +874,7 @@ impl ClusterManager {
             // Admission deflates residents and/or adds a domain; a failed
             // attempt can still have deflated, so mark unconditionally.
             self.mark_server_dirty(idx);
-            match self.controllers[idx].try_admit(spec.clone()) {
+            match self.controllers[idx].try_admit_with(spec.clone(), &mut self.plan_scratch) {
                 Ok(AdmissionOutcome::AdmittedWithoutDeflation) => {
                     self.vm_location.insert(spec.id, idx);
                     return PlacementResult::Placed {
@@ -1022,7 +1040,7 @@ impl ClusterManager {
             .check_capacity_invariant()
             .is_ok()
         {
-            self.controllers[idx].reinflate();
+            self.controllers[idx].reinflate_with(&mut self.plan_scratch);
         }
     }
 
@@ -1049,7 +1067,8 @@ impl ClusterManager {
             .check_capacity_invariant()
             .is_ok()
         {
-            self.controllers[idx].reinflate_partial(self.restore_policy.step_fraction);
+            self.controllers[idx]
+                .reinflate_partial_with(self.restore_policy.step_fraction, &mut self.plan_scratch);
         }
     }
 
@@ -1087,7 +1106,8 @@ impl ClusterManager {
         let deadline = now_secs + self.cost_model.reclaim_deadline_secs.max(0.0);
         match self.mode.clone() {
             ReclamationMode::Deflation(_) => {
-                let remaining = self.controllers[idx].deflate_into_capacity();
+                let remaining =
+                    self.controllers[idx].deflate_into_capacity_with(&mut self.plan_scratch);
                 self.mark_server_dirty(idx);
                 if remaining.is_zero() {
                     self.transient.absorbed_by_deflation += 1;
@@ -1612,7 +1632,7 @@ impl ClusterManager {
             self.mark_server_dirty(idx);
             let admitted = if deflation_aware {
                 matches!(
-                    self.controllers[idx].try_admit(spec.clone()),
+                    self.controllers[idx].try_admit_with(spec.clone(), &mut self.plan_scratch),
                     Ok(AdmissionOutcome::AdmittedWithoutDeflation)
                         | Ok(AdmissionOutcome::AdmittedWithDeflation { .. })
                 )
@@ -1864,9 +1884,9 @@ impl ClusterManager {
     }
 
     /// Record this subsystem's owned heap bytes into the engine's memory
-    /// ledger: the per-server controllers (their domains), the incremental
-    /// placement index, the transfer scheduler's reservation ledgers, and
-    /// the migration bookkeeping maps.
+    /// ledger: the per-server controllers (their domains) and their shared
+    /// planning scratch, the incremental placement index, the transfer
+    /// scheduler's reservation ledgers, and the migration bookkeeping maps.
     pub fn record_memory(&self, ledger: &mut MemoryLedger) {
         use deflate_core::mem::{map_entry_bytes, vec_capacity_bytes};
         use std::mem::size_of;
@@ -1875,7 +1895,8 @@ impl ClusterManager {
                 .controllers
                 .iter()
                 .map(|c| c.accounted_bytes())
-                .sum::<u64>();
+                .sum::<u64>()
+            + self.plan_scratch_bytes();
         ledger.record("servers", servers);
         ledger.record("placement_index", self.index.accounted_bytes());
         ledger.record("scheduler", self.scheduler.accounted_bytes());
@@ -1890,6 +1911,13 @@ impl ClusterManager {
             + vec_capacity_bytes(&self.staged)
             + vec_capacity_bytes(&self.last_reclaim_secs);
         ledger.record("migrations", migrations);
+    }
+
+    /// Heap bytes of the planning scratch the local controllers share,
+    /// which [`record_memory`](Self::record_memory) counts in the
+    /// `servers` row. Bounded by the largest resident set planned so far.
+    pub fn plan_scratch_bytes(&self) -> u64 {
+        self.plan_scratch.accounted_bytes()
     }
 
     /// Mutable controller access for the auditor's mutation-style tests
@@ -2548,6 +2576,50 @@ mod tests {
             cluster.complete_migration(pending.id, 1e9),
             CapacityChangeOutcome::default()
         );
+    }
+
+    #[test]
+    fn allocation_fractions_skip_only_inbound_reservations() {
+        let mut cluster =
+            small_cluster(ReclamationMode::MigrationOnly).with_migration_cost(slow_model());
+        for spec in [vm(1, 8.0, 0.5), vm(2, 2.0, 0.5), vm(3, 2.0, 0.5)] {
+            assert!(cluster.place_vm(spec).is_placed());
+        }
+        let ids = [VmId(1), VmId(2), VmId(3)];
+        let source = cluster.locate(VmId(1)).unwrap();
+        let dest = ServerId(1 - source.0);
+        let reported = |cluster: &ClusterManager, server| -> Vec<VmId> {
+            let fractions = cluster.allocation_fractions_on(server);
+            fractions.into_iter().map(|(vm, _)| vm).collect()
+        };
+        let located = |cluster: &ClusterManager, server| -> Vec<VmId> {
+            ids.into_iter()
+                .filter(|&vm| cluster.locate(vm) == Some(server))
+                .collect()
+        };
+        let outcome = cluster.reclaim_capacity(source, 0.4, 100.0);
+        assert!(outcome.victims.is_empty(), "outcome: {outcome:?}");
+        assert!(outcome.started.iter().any(|p| p.vm == VmId(1)));
+        // Mid-transfer the destination holds VM 1's reservation but does
+        // not report it; the source still does.
+        let dest_server = cluster.controllers[dest.0 as usize].server();
+        assert!(dest_server.domain(VmId(1)).is_some());
+        assert!(reported(&cluster, source).contains(&VmId(1)));
+        assert!(!reported(&cluster, dest).contains(&VmId(1)));
+        for server in [source, dest] {
+            assert_eq!(reported(&cluster, server), located(&cluster, server));
+        }
+        // Once the transfers land, the destination reports VM 1 and the
+        // source no longer does.
+        for pending in &outcome.started {
+            cluster.complete_migration(pending.id, pending.event_secs);
+        }
+        assert_eq!(cluster.in_flight_count(), 0);
+        assert!(reported(&cluster, dest).contains(&VmId(1)));
+        assert!(!reported(&cluster, source).contains(&VmId(1)));
+        for server in [source, dest] {
+            assert_eq!(reported(&cluster, server), located(&cluster, server));
+        }
     }
 
     #[test]

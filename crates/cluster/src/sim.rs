@@ -1191,19 +1191,19 @@ impl ClusterSimulation {
         running: &[bool],
         time: f64,
     ) {
-        for (vm, fraction) in manager.allocation_fractions_on(server) {
+        manager.for_each_allocation_fraction_on(server, |vm, fraction| {
             let Some(&i) = index_of.get(&vm) else {
-                continue;
+                return;
             };
             if !running[i] {
-                continue;
+                return;
             }
             let history = &mut records[i].allocation_history;
             match history.last() {
                 Some(&(_, last)) if (last - fraction).abs() < 1e-9 => {}
                 _ => history.push((time, fraction)),
             }
-        }
+        });
     }
 }
 

@@ -114,6 +114,37 @@ impl ScalarPlan {
     }
 }
 
+/// Working buffers a [`DeflationPolicy`] may reuse across calls to
+/// [`plan_into`](DeflationPolicy::plan_into).
+///
+/// The built-in policies use these for their headrooms, weights,
+/// per-VM amounts and index sets. Their contents between calls mean
+/// nothing; only their capacity carries over, so once the buffers have
+/// grown to the largest resident set planned through them, planning
+/// allocates nothing. A policy defined outside this crate may ignore them.
+#[derive(Debug, Clone, Default)]
+pub struct PolicyScratch {
+    headroom: Vec<f64>,
+    weight: Vec<f64>,
+    amount: Vec<f64>,
+    active: Vec<usize>,
+    fixed: Vec<bool>,
+    raw: Vec<(usize, f64)>,
+}
+
+impl PolicyScratch {
+    /// Heap bytes these buffers hold (their capacity, not their length).
+    pub(crate) fn accounted_bytes(&self) -> u64 {
+        use crate::mem::vec_capacity_bytes;
+        vec_capacity_bytes(&self.headroom)
+            + vec_capacity_bytes(&self.weight)
+            + vec_capacity_bytes(&self.amount)
+            + vec_capacity_bytes(&self.active)
+            + vec_capacity_bytes(&self.fixed)
+            + vec_capacity_bytes(&self.raw)
+    }
+}
+
 /// A server-level deflation policy operating on a single resource dimension.
 pub trait DeflationPolicy: Send + Sync {
     /// Short policy name used in experiment output.
@@ -121,37 +152,73 @@ pub trait DeflationPolicy: Send + Sync {
 
     /// Compute new allocation targets so that `demand` units of the resource
     /// are reclaimed from (positive demand) or returned to (negative demand)
-    /// the given VMs.
+    /// the given VMs, and return `(reclaimed, shortfall)`.
+    ///
+    /// Buffer contract: `targets` is cleared and then holds exactly one
+    /// target per input VM, in input order (the VM ids are the inputs',
+    /// by position). `work` is scratch space: the result never depends on
+    /// what it holds on entry, and it holds nothing meaningful on return.
+    /// Both are owned by the caller so one set of buffers can serve every
+    /// call; an implementation grows them as needed and never shrinks them.
     ///
     /// Invariants every implementation upholds:
-    /// * `targets` holds one entry per input VM, in input order;
     /// * each target lies in `[min, max]` of its VM;
-    /// * `sum(current − target) == demand − shortfall` (up to rounding);
+    /// * `reclaimed == sum(current − target)`, summed in input order;
+    /// * `reclaimed == demand − shortfall` up to rounding, except that
+    ///   binary policies may over-reclaim;
     /// * `shortfall` is non-negative for deflation and non-positive for
     ///   reinflation, and zero when the demand was fully met.
-    fn plan(&self, vms: &[VmResourceState], demand: f64) -> ScalarPlan;
+    fn plan_into(
+        &self,
+        vms: &[VmResourceState],
+        demand: f64,
+        work: &mut PolicyScratch,
+        targets: &mut Vec<f64>,
+    ) -> (f64, f64);
+
+    /// [`plan_into`](Self::plan_into) with fresh buffers, returning the
+    /// targets paired with their VM ids.
+    fn plan(&self, vms: &[VmResourceState], demand: f64) -> ScalarPlan {
+        let mut targets = Vec::with_capacity(vms.len());
+        let (reclaimed, shortfall) =
+            self.plan_into(vms, demand, &mut PolicyScratch::default(), &mut targets);
+        ScalarPlan {
+            targets: vms.iter().map(|vm| vm.id).zip(targets).collect(),
+            reclaimed,
+            shortfall,
+        }
+    }
 }
 
 /// Distribute `demand ≥ 0` across VMs proportionally to `weights`, honouring
-/// each VM's headroom, using iterative water-filling.
+/// each VM's headroom, using iterative water-filling. Reinflation uses the
+/// same fill, with reinflatable headrooms and the amount to give back as
+/// `demand`.
 ///
-/// Returns the per-VM reclaim amounts (same order as `vms`) and the
-/// unsatisfied remainder. This is the computational core shared by the
-/// proportional and priority-weighted policies once their per-VM weights have
-/// been fixed: the paper's closed-form α only applies when no VM hits its
-/// bound, so the water-filling loop re-solves the closed form over the
-/// unsaturated set until a fixed point is reached.
-pub(crate) fn weighted_fill(headrooms: &[f64], weights: &[f64], demand: f64) -> (Vec<f64>, f64) {
+/// Writes the per-VM amounts into `take` (same order as `headrooms`) and
+/// returns the unsatisfied remainder; `active` is scratch. This is the
+/// computational core shared by the proportional and priority-weighted
+/// policies once their per-VM weights have been fixed: the paper's
+/// closed-form α only applies when no VM hits its bound, so the
+/// water-filling loop re-solves the closed form over the unsaturated set
+/// until a fixed point is reached.
+pub(crate) fn weighted_fill(
+    headrooms: &[f64],
+    weights: &[f64],
+    demand: f64,
+    take: &mut Vec<f64>,
+    active: &mut Vec<usize>,
+) -> f64 {
     debug_assert_eq!(headrooms.len(), weights.len());
     let n = headrooms.len();
-    let mut take = vec![0.0f64; n];
+    take.clear();
+    take.resize(n, 0.0);
     if demand <= 0.0 || n == 0 {
-        return (take, demand.max(0.0));
+        return demand.max(0.0);
     }
     let mut remaining = demand;
-    let mut active: Vec<usize> = (0..n)
-        .filter(|&i| headrooms[i] > 1e-12 && weights[i] > 0.0)
-        .collect();
+    active.clear();
+    active.extend((0..n).filter(|&i| headrooms[i] > 1e-12 && weights[i] > 0.0));
     // Each round either satisfies the remaining demand or saturates at least
     // one VM, so the loop terminates in at most `n` rounds.
     while remaining > 1e-9 && !active.is_empty() {
@@ -159,9 +226,8 @@ pub(crate) fn weighted_fill(headrooms: &[f64], weights: &[f64], demand: f64) -> 
         if total_weight <= 0.0 {
             break;
         }
-        let mut saturated = Vec::new();
         let mut progressed = false;
-        for &i in &active {
+        for &i in active.iter() {
             let share = remaining * weights[i] / total_weight;
             let capacity = headrooms[i] - take[i];
             let grant = share.min(capacity);
@@ -169,26 +235,18 @@ pub(crate) fn weighted_fill(headrooms: &[f64], weights: &[f64], demand: f64) -> 
                 take[i] += grant;
                 progressed = true;
             }
-            if headrooms[i] - take[i] <= 1e-12 {
-                saturated.push(i);
-            }
         }
         let taken: f64 = take.iter().sum();
         remaining = demand - taken;
         if !progressed {
             break;
         }
-        active.retain(|i| !saturated.contains(i));
+        // Drop the VMs this round saturated, those with
+        // `headroom − take ≤ 1e-12`. Finite headrooms and grants make no
+        // difference NaN, so keeping the rest is that test's complement.
+        active.retain(|&i| headrooms[i] - take[i] > 1e-12);
     }
-    (take, remaining.max(0.0))
-}
-
-/// Distribute `give ≥ 0` units back to VMs proportionally to `weights`,
-/// honouring each VM's reinflatable headroom. Mirror image of
-/// [`weighted_fill`]; returns per-VM returned amounts and the surplus that
-/// could not be placed.
-pub(crate) fn weighted_return(headrooms: &[f64], weights: &[f64], give: f64) -> (Vec<f64>, f64) {
-    weighted_fill(headrooms, weights, give)
+    remaining.max(0.0)
 }
 
 /// Anything that exposes a VM spec plus its currently granted allocation.
@@ -228,12 +286,12 @@ pub struct VectorPlanner;
 
 /// A full multi-resource deflation plan: one target vector per VM plus
 /// per-resource shortfalls.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct VectorPlan {
     /// New allocation vector of every deflatable VM, in the order the VMs
-    /// were passed to [`VectorPlanner::plan`]. For a server's resident
-    /// domains that is ascending `VmId` order, the order
-    /// `SimServer::apply_targets` requires.
+    /// were passed to the planner. For a server's resident domains that is
+    /// ascending `VmId` order, the order `SimServer::apply_targets`
+    /// requires.
     pub targets: Vec<(VmId, ResourceVector)>,
     /// Total reclaimed per resource (negative when reinflating).
     pub reclaimed: ResourceVector,
@@ -248,84 +306,140 @@ impl VectorPlan {
     }
 }
 
-impl VectorPlanner {
-    /// Extract the scalar state of one resource kind from a set of VM
-    /// allocations (deflatable VMs only; non-deflatable VMs are skipped).
-    pub fn scalar_states<V: AllocationView>(vms: &[V], kind: ResourceKind) -> Vec<VmResourceState> {
-        vms.iter()
-            .filter(|vm| vm.spec().deflatable)
-            .map(|vm| VmResourceState {
-                id: vm.spec().id,
-                max: vm.spec().max_allocation[kind],
-                min: vm.spec().min_allocation[kind],
-                current: vm.current_allocation()[kind],
-                priority: vm.spec().priority.value(),
-            })
-            .collect()
-    }
+/// What [`VectorPlanner`] reads from one deflatable VM, once per plan.
+#[derive(Debug, Clone, Copy)]
+struct PlanRow {
+    id: VmId,
+    max: ResourceVector,
+    min: ResourceVector,
+    current: ResourceVector,
+    priority: f64,
+}
 
+/// Caller-owned buffers for [`VectorPlanner::plan_into`], including the
+/// [`VectorPlan`] it returns a reference to.
+///
+/// Only capacity carries over between plans: one scratch can serve any
+/// number of servers and policies in turn, and once it has grown to the
+/// largest resident set planned through it, planning allocates nothing.
+#[derive(Debug, Clone, Default)]
+pub struct PlanScratch {
+    rows: Vec<PlanRow>,
+    states: Vec<VmResourceState>,
+    scalar_targets: Vec<f64>,
+    work: PolicyScratch,
+    plan: VectorPlan,
+}
+
+impl PlanScratch {
+    /// Heap bytes these buffers hold (their capacity, not their length).
+    pub fn accounted_bytes(&self) -> u64 {
+        use crate::mem::vec_capacity_bytes;
+        vec_capacity_bytes(&self.rows)
+            + vec_capacity_bytes(&self.states)
+            + vec_capacity_bytes(&self.scalar_targets)
+            + self.work.accounted_bytes()
+            + vec_capacity_bytes(&self.plan.targets)
+    }
+}
+
+impl VectorPlanner {
     /// Plan deflation (or reinflation) of every resource dimension using the
     /// given scalar policy. `demand` holds, per resource, the amount that
     /// must be reclaimed (positive) or can be returned (negative).
+    ///
+    /// A wrapper over [`plan_into`](Self::plan_into) with a fresh scratch.
     pub fn plan<V: AllocationView>(
         policy: &dyn DeflationPolicy,
         vms: &[V],
         demand: ResourceVector,
     ) -> VectorPlan {
-        let mut targets: Vec<(VmId, ResourceVector)> = vms
-            .iter()
-            .filter(|vm| vm.spec().deflatable)
-            .map(|vm| (vm.spec().id, vm.current_allocation()))
-            .collect();
-        let mut reclaimed = ResourceVector::ZERO;
-        let mut shortfall = ResourceVector::ZERO;
+        let mut scratch = PlanScratch::default();
+        Self::plan_into(policy, vms, demand, &mut scratch);
+        scratch.plan
+    }
+
+    /// [`plan`](Self::plan) into caller-owned buffers: reads each
+    /// deflatable VM's spec and current allocation once, plans every
+    /// resource kind with a non-zero demand from those rows, and returns
+    /// the plan held in `scratch`.
+    pub fn plan_into<'s, V: AllocationView>(
+        policy: &dyn DeflationPolicy,
+        vms: impl IntoIterator<Item = V>,
+        demand: ResourceVector,
+        scratch: &'s mut PlanScratch,
+    ) -> &'s VectorPlan {
+        let PlanScratch {
+            rows,
+            states,
+            scalar_targets,
+            work,
+            plan,
+        } = scratch;
+        rows.clear();
+        rows.extend(
+            vms.into_iter()
+                .filter(|vm| vm.spec().deflatable)
+                .map(|vm| PlanRow {
+                    id: vm.spec().id,
+                    max: vm.spec().max_allocation,
+                    min: vm.spec().min_allocation,
+                    current: vm.current_allocation(),
+                    priority: vm.spec().priority.value(),
+                }),
+        );
+        plan.targets.clear();
+        plan.targets
+            .extend(rows.iter().map(|row| (row.id, row.current)));
+        plan.reclaimed = ResourceVector::ZERO;
+        plan.shortfall = ResourceVector::ZERO;
         for kind in ResourceKind::ALL {
             let d = demand[kind];
             if d.abs() <= 1e-12 {
                 continue;
             }
-            let states = Self::scalar_states(vms, kind);
-            let plan = policy.plan(&states, d);
-            // Scalar plans list their targets in input order, which is the
-            // order of `targets`: fill them positionally.
-            debug_assert_eq!(plan.targets.len(), targets.len());
-            for ((id, v), &(planned, target)) in targets.iter_mut().zip(&plan.targets) {
-                debug_assert_eq!(*id, planned);
+            states.clear();
+            states.extend(rows.iter().map(|row| VmResourceState {
+                id: row.id,
+                max: row.max[kind],
+                min: row.min[kind],
+                current: row.current[kind],
+                priority: row.priority,
+            }));
+            let (reclaimed, shortfall) = policy.plan_into(states, d, work, scalar_targets);
+            // Scalar targets come in input order, which is the order of
+            // `plan.targets`: fill them positionally.
+            debug_assert_eq!(scalar_targets.len(), plan.targets.len());
+            for ((_, v), &target) in plan.targets.iter_mut().zip(scalar_targets.iter()) {
                 v[kind] = target;
             }
-            reclaimed[kind] = plan.reclaimed;
-            shortfall[kind] = plan.shortfall;
+            plan.reclaimed[kind] = reclaimed;
+            plan.shortfall[kind] = shortfall;
         }
-        VectorPlan {
-            targets,
-            reclaimed,
-            shortfall,
-        }
+        plan
     }
 }
 
-/// Shared plumbing for building a [`ScalarPlan`] out of per-VM reclaim /
-/// return amounts.
+/// Shared plumbing for turning per-VM reclaim (positive) or return
+/// (negative) amounts into allocation targets: clears `targets`, writes one
+/// clamped target per VM in input order, and returns the reclaimed total.
 ///
-/// The reported `reclaimed` figure is the *actual* change in total
-/// allocation, `Σ (current − target)`, which can exceed the demand for
-/// binary policies that over-reclaim, and is negative when reinflating.
-pub(crate) fn build_plan(vms: &[VmResourceState], reclaim: &[f64], shortfall: f64) -> ScalarPlan {
+/// The reported figure is the *actual* change in total allocation,
+/// `Σ (current − target)`, which can exceed the demand for binary policies
+/// that over-reclaim, and is negative when reinflating.
+pub(crate) fn write_targets(
+    vms: &[VmResourceState],
+    reclaim: &[f64],
+    targets: &mut Vec<f64>,
+) -> f64 {
     let mut reclaimed = 0.0;
-    let targets = vms
-        .iter()
-        .zip(reclaim.iter())
-        .map(|(vm, r)| {
-            let target = (vm.current - r).clamp(vm.min, vm.max);
-            reclaimed += vm.current - target;
-            (vm.id, target)
-        })
-        .collect();
-    ScalarPlan {
-        targets,
-        reclaimed,
-        shortfall,
-    }
+    targets.clear();
+    targets.extend(vms.iter().zip(reclaim).map(|(vm, r)| {
+        let target = (vm.current - r).clamp(vm.min, vm.max);
+        reclaimed += vm.current - target;
+        target
+    }));
+    reclaimed
 }
 
 #[cfg(test)]
@@ -351,9 +465,16 @@ mod tests {
         assert_eq!(s.deflatable_span(), 8.0);
     }
 
+    /// Run [`weighted_fill`] into fresh buffers.
+    fn fill(headrooms: &[f64], weights: &[f64], demand: f64) -> (Vec<f64>, f64) {
+        let (mut take, mut active) = (Vec::new(), Vec::new());
+        let rem = weighted_fill(headrooms, weights, demand, &mut take, &mut active);
+        (take, rem)
+    }
+
     #[test]
     fn weighted_fill_simple_proportional() {
-        let (take, rem) = weighted_fill(&[10.0, 10.0], &[1.0, 3.0], 4.0);
+        let (take, rem) = fill(&[10.0, 10.0], &[1.0, 3.0], 4.0);
         assert!(rem.abs() < 1e-9);
         assert!((take[0] - 1.0).abs() < 1e-9);
         assert!((take[1] - 3.0).abs() < 1e-9);
@@ -362,7 +483,7 @@ mod tests {
     #[test]
     fn weighted_fill_respects_headroom_and_redistributes() {
         // VM 0 can only give 1.0; the rest must come from VM 1.
-        let (take, rem) = weighted_fill(&[1.0, 100.0], &[1.0, 1.0], 10.0);
+        let (take, rem) = fill(&[1.0, 100.0], &[1.0, 1.0], 10.0);
         assert!(rem.abs() < 1e-9);
         assert!((take[0] - 1.0).abs() < 1e-9);
         assert!((take[1] - 9.0).abs() < 1e-9);
@@ -370,7 +491,7 @@ mod tests {
 
     #[test]
     fn weighted_fill_reports_shortfall() {
-        let (take, rem) = weighted_fill(&[1.0, 2.0], &[1.0, 1.0], 10.0);
+        let (take, rem) = fill(&[1.0, 2.0], &[1.0, 1.0], 10.0);
         assert!((take[0] - 1.0).abs() < 1e-9);
         assert!((take[1] - 2.0).abs() < 1e-9);
         assert!((rem - 7.0).abs() < 1e-9);
@@ -378,12 +499,21 @@ mod tests {
 
     #[test]
     fn weighted_fill_zero_demand_or_empty() {
-        let (take, rem) = weighted_fill(&[], &[], 5.0);
+        let (take, rem) = fill(&[], &[], 5.0);
         assert!(take.is_empty());
         assert_eq!(rem, 5.0);
-        let (take, rem) = weighted_fill(&[1.0], &[1.0], 0.0);
+        let (take, rem) = fill(&[1.0], &[1.0], 0.0);
         assert_eq!(take, vec![0.0]);
         assert_eq!(rem, 0.0);
+    }
+
+    #[test]
+    fn weighted_fill_overwrites_stale_buffers() {
+        // Buffers left over from a larger fill must not leak into a
+        // smaller one.
+        let (mut take, mut active) = (vec![7.0; 5], vec![4, 3, 2]);
+        let rem = weighted_fill(&[10.0, 10.0], &[1.0, 3.0], 4.0, &mut take, &mut active);
+        assert_eq!((take, rem), fill(&[10.0, 10.0], &[1.0, 3.0], 4.0));
     }
 
     #[test]
@@ -414,10 +544,6 @@ mod tests {
             ResourceVector::cpu_mem(4000.0, 8192.0),
         ));
         let vms = vec![&deflatable, &on_demand];
-        let states = VectorPlanner::scalar_states(&vms, ResourceKind::Cpu);
-        assert_eq!(states.len(), 1);
-        assert_eq!(states[0].id, VmId(1));
-
         let policy = ProportionalDeflation::default();
         let plan = VectorPlanner::plan(
             &policy,

@@ -18,7 +18,7 @@
 //! active-set treatment whose fixed point coincides with the paper's closed
 //! form whenever no bound is hit.
 
-use super::{build_plan, weighted_return, DeflationPolicy, ScalarPlan, VmResourceState};
+use super::{weighted_fill, write_targets, DeflationPolicy, PolicyScratch, VmResourceState};
 use serde::{Deserialize, Serialize};
 
 /// How the per-VM deflation floor interacts with the priority level.
@@ -78,24 +78,40 @@ impl PriorityDeflation {
         (vm.max - self.floor(vm)).max(0.0)
     }
 
-    /// Solve the clamped affine system for deflation.
-    fn solve_deflation(&self, vms: &[VmResourceState], demand: f64) -> (Vec<f64>, f64) {
+    /// Solve the clamped affine system for deflation: writes the per-VM
+    /// reclaim amounts into `work.amount` and returns the shortfall.
+    fn solve_deflation(
+        &self,
+        vms: &[VmResourceState],
+        demand: f64,
+        work: &mut PolicyScratch,
+    ) -> f64 {
+        let PolicyScratch {
+            headroom,
+            weight: span,
+            amount: reclaim,
+            active,
+            fixed,
+            raw,
+        } = work;
         let n = vms.len();
-        let mut reclaim = vec![0.0f64; n];
+        reclaim.clear();
+        reclaim.resize(n, 0.0);
         if n == 0 || demand <= 0.0 {
-            return (reclaim, demand.max(0.0));
+            return demand.max(0.0);
         }
         // Headroom relative to the *current* allocation and the mode's floor.
-        let headroom: Vec<f64> = vms
-            .iter()
-            .map(|vm| (vm.current - self.floor(vm)).max(0.0))
-            .collect();
-        let span: Vec<f64> = vms.iter().map(|vm| self.span(vm)).collect();
-        let mut fixed = vec![false; n];
+        headroom.clear();
+        headroom.extend(vms.iter().map(|vm| (vm.current - self.floor(vm)).max(0.0)));
+        span.clear();
+        span.extend(vms.iter().map(|vm| self.span(vm)));
+        fixed.clear();
+        fixed.resize(n, false);
         let mut fixed_total = 0.0f64;
 
         for _round in 0..n {
-            let active: Vec<usize> = (0..n).filter(|&i| !fixed[i]).collect();
+            active.clear();
+            active.extend((0..n).filter(|&i| !fixed[i]));
             if active.is_empty() {
                 break;
             }
@@ -109,22 +125,21 @@ impl PriorityDeflation {
                 break;
             }
             // Degenerate case: all priorities ~0 → plain proportional split.
-            let raw: Vec<(usize, f64)> = if sum_pri_span <= 1e-12 {
-                active
-                    .iter()
-                    .map(|&i| (i, residual * span[i] / sum_span))
-                    .collect()
+            raw.clear();
+            if sum_pri_span <= 1e-12 {
+                raw.extend(active.iter().map(|&i| (i, residual * span[i] / sum_span)));
             } else {
                 let alpha = (sum_span - residual) / sum_pri_span;
-                active
-                    .iter()
-                    .map(|&i| (i, span[i] * (1.0 - alpha * vms[i].priority)))
-                    .collect()
-            };
+                raw.extend(
+                    active
+                        .iter()
+                        .map(|&i| (i, span[i] * (1.0 - alpha * vms[i].priority))),
+                );
+            }
             // Clamp violators to their bounds and fix them; if nobody
             // violated, accept the solution.
             let mut violated = false;
-            for &(i, x) in &raw {
+            for &(i, x) in raw.iter() {
                 if x < -1e-12 {
                     reclaim[i] = 0.0;
                     fixed[i] = true;
@@ -137,14 +152,14 @@ impl PriorityDeflation {
                 }
             }
             if !violated {
-                for (i, x) in raw {
+                for &(i, x) in raw.iter() {
                     reclaim[i] = x.clamp(0.0, headroom[i]);
                 }
                 break;
             }
         }
         let total: f64 = reclaim.iter().sum();
-        (reclaim, (demand - total).max(0.0))
+        (demand - total).max(0.0)
     }
 }
 
@@ -156,23 +171,34 @@ impl DeflationPolicy for PriorityDeflation {
         }
     }
 
-    fn plan(&self, vms: &[VmResourceState], demand: f64) -> ScalarPlan {
+    fn plan_into(
+        &self,
+        vms: &[VmResourceState],
+        demand: f64,
+        work: &mut PolicyScratch,
+        targets: &mut Vec<f64>,
+    ) -> (f64, f64) {
         if demand >= 0.0 {
-            let (reclaim, shortfall) = self.solve_deflation(vms, demand);
-            build_plan(vms, &reclaim, shortfall)
+            let shortfall = self.solve_deflation(vms, demand, work);
+            (write_targets(vms, &work.amount, targets), shortfall)
         } else {
             // Reinflation: resources flow back preferentially to high
             // priority VMs — the reverse of the deflation ordering — in
             // proportion to π_i times the headroom to their full size.
-            let give = -demand;
-            let headroom: Vec<f64> = vms.iter().map(|vm| vm.reinflatable_headroom()).collect();
-            let weights: Vec<f64> = vms
-                .iter()
-                .map(|vm| vm.priority * vm.max.max(1e-12))
-                .collect();
-            let (ret, surplus) = weighted_return(&headroom, &weights, give);
-            let reclaim: Vec<f64> = ret.iter().map(|r| -r).collect();
-            build_plan(vms, &reclaim, -surplus)
+            let PolicyScratch {
+                headroom,
+                weight,
+                amount,
+                active,
+                ..
+            } = work;
+            headroom.clear();
+            headroom.extend(vms.iter().map(|vm| vm.reinflatable_headroom()));
+            weight.clear();
+            weight.extend(vms.iter().map(|vm| vm.priority * vm.max.max(1e-12)));
+            let surplus = weighted_fill(headroom, weight, -demand, amount, active);
+            amount.iter_mut().for_each(|r| *r = -*r);
+            (write_targets(vms, amount, targets), -surplus)
         }
     }
 }

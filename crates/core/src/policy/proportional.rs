@@ -15,9 +15,7 @@
 //! remaining VMs (water-filling), which is exactly the fixed point of
 //! re-solving the closed form over the unsaturated set.
 
-use super::{
-    build_plan, weighted_fill, weighted_return, DeflationPolicy, ScalarPlan, VmResourceState,
-};
+use super::{weighted_fill, write_targets, DeflationPolicy, PolicyScratch, VmResourceState};
 use serde::{Deserialize, Serialize};
 
 /// Which weight the proportional share uses.
@@ -61,13 +59,11 @@ impl ProportionalDeflation {
         }
     }
 
-    fn weights(&self, vms: &[VmResourceState]) -> Vec<f64> {
-        vms.iter()
-            .map(|vm| match self.mode {
-                ProportionalMode::BySize => vm.max.max(0.0),
-                ProportionalMode::ByDeflatableSpan => vm.deflatable_span(),
-            })
-            .collect()
+    fn weight(&self, vm: &VmResourceState) -> f64 {
+        match self.mode {
+            ProportionalMode::BySize => vm.max.max(0.0),
+            ProportionalMode::ByDeflatableSpan => vm.deflatable_span(),
+        }
     }
 }
 
@@ -79,20 +75,34 @@ impl DeflationPolicy for ProportionalDeflation {
         }
     }
 
-    fn plan(&self, vms: &[VmResourceState], demand: f64) -> ScalarPlan {
-        let weights = self.weights(vms);
+    fn plan_into(
+        &self,
+        vms: &[VmResourceState],
+        demand: f64,
+        work: &mut PolicyScratch,
+        targets: &mut Vec<f64>,
+    ) -> (f64, f64) {
+        let PolicyScratch {
+            headroom,
+            weight,
+            amount,
+            active,
+            ..
+        } = work;
+        weight.clear();
+        weight.extend(vms.iter().map(|vm| self.weight(vm)));
+        headroom.clear();
         if demand >= 0.0 {
-            let headrooms: Vec<f64> = vms.iter().map(|v| v.deflatable_headroom()).collect();
-            let (take, shortfall) = weighted_fill(&headrooms, &weights, demand);
-            build_plan(vms, &take, shortfall)
+            headroom.extend(vms.iter().map(|v| v.deflatable_headroom()));
+            let shortfall = weighted_fill(headroom, weight, demand, amount, active);
+            (write_targets(vms, amount, targets), shortfall)
         } else {
             // Reinflation: run the proportional policy backwards (§5.1.3),
             // returning resources in proportion to the same weights.
-            let give = -demand;
-            let headrooms: Vec<f64> = vms.iter().map(|v| v.reinflatable_headroom()).collect();
-            let (ret, surplus) = weighted_return(&headrooms, &weights, give);
-            let reclaim: Vec<f64> = ret.iter().map(|r| -r).collect();
-            build_plan(vms, &reclaim, -surplus)
+            headroom.extend(vms.iter().map(|v| v.reinflatable_headroom()));
+            let surplus = weighted_fill(headroom, weight, -demand, amount, active);
+            amount.iter_mut().for_each(|r| *r = -*r);
+            (write_targets(vms, amount, targets), -surplus)
         }
     }
 }

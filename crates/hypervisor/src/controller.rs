@@ -12,7 +12,7 @@
 use crate::domain::DeflationMechanism;
 use crate::server::SimServer;
 use deflate_core::error::{DeflateError, Result};
-use deflate_core::policy::{DeflationPolicy, VectorPlanner};
+use deflate_core::policy::{DeflationPolicy, PlanScratch, VectorPlanner};
 use deflate_core::resources::ResourceVector;
 use deflate_core::vm::{ServerId, VmId, VmSpec};
 use serde::{Deserialize, Serialize};
@@ -142,6 +142,15 @@ impl LocalController {
     /// three-step placement of §6: the cluster manager already chose this
     /// server; this method performs steps two and three).
     pub fn try_admit(&mut self, spec: VmSpec) -> Result<AdmissionOutcome> {
+        self.try_admit_with(spec, &mut PlanScratch::default())
+    }
+
+    /// [`try_admit`](Self::try_admit), planning in caller-owned buffers.
+    pub fn try_admit_with(
+        &mut self,
+        spec: VmSpec,
+        scratch: &mut PlanScratch,
+    ) -> Result<AdmissionOutcome> {
         spec.validate()?;
         let demand = spec.max_allocation;
         let free = self.server.free();
@@ -152,8 +161,8 @@ impl LocalController {
 
         // Step 2: compute the deflation required to accommodate the new VM.
         let needed = demand.saturating_sub(&free);
-        let domains: Vec<_> = self.server.domains().collect();
-        let plan = VectorPlanner::plan(self.policy.as_ref(), &domains, needed);
+        let plan =
+            VectorPlanner::plan_into(self.policy.as_ref(), self.server.domains(), needed, scratch);
         if !plan.satisfied() {
             // "If this violates any resource constraint, then the server
             // rejects the VM."
@@ -208,6 +217,12 @@ impl LocalController {
     /// positive when the caller must fall back to migrating or destroying
     /// residents.
     pub fn deflate_into_capacity(&mut self) -> ResourceVector {
+        self.deflate_into_capacity_with(&mut PlanScratch::default())
+    }
+
+    /// [`deflate_into_capacity`](Self::deflate_into_capacity), planning in
+    /// caller-owned buffers.
+    pub fn deflate_into_capacity_with(&mut self, scratch: &mut PlanScratch) -> ResourceVector {
         let over = self
             .server
             .effective_used()
@@ -215,8 +230,8 @@ impl LocalController {
         if over.is_zero() {
             return ResourceVector::ZERO;
         }
-        let domains: Vec<_> = self.server.domains().collect();
-        let plan = VectorPlanner::plan(self.policy.as_ref(), &domains, over);
+        let plan =
+            VectorPlanner::plan_into(self.policy.as_ref(), self.server.domains(), over, scratch);
         let before = self.allocations_if_logged();
         let _ = self.server.apply_targets(&plan.targets);
         self.record_changes(before);
@@ -230,23 +245,30 @@ impl LocalController {
     /// are skipped — their deflation is deliberate and must stick until
     /// the autoscaler unparks them.
     pub fn reinflate(&mut self) {
-        self.reinflate_fraction(1.0);
+        self.reinflate_with(&mut PlanScratch::default());
+    }
+
+    /// [`reinflate`](Self::reinflate), planning in caller-owned buffers.
+    pub fn reinflate_with(&mut self, scratch: &mut PlanScratch) {
+        self.reinflate_partial_with(1.0, scratch);
     }
 
     /// Reinflate residents into only `fraction` of the currently free
     /// capacity — the spread-out half of the restore-hysteresis policy.
     /// `1.0` is the full greedy hand-back of [`reinflate`](Self::reinflate).
     pub fn reinflate_partial(&mut self, fraction: f64) {
-        self.reinflate_fraction(fraction.clamp(0.0, 1.0));
+        self.reinflate_partial_with(fraction, &mut PlanScratch::default());
     }
 
-    fn reinflate_fraction(&mut self, fraction: f64) {
-        let free = self.server.free() * fraction;
+    /// [`reinflate_partial`](Self::reinflate_partial), planning in
+    /// caller-owned buffers.
+    pub fn reinflate_partial_with(&mut self, fraction: f64, scratch: &mut PlanScratch) {
+        let free = self.server.free() * fraction.clamp(0.0, 1.0);
         if free.is_zero() {
             return;
         }
-        let domains: Vec<_> = self.server.domains().filter(|d| !d.is_parked()).collect();
-        let plan = VectorPlanner::plan(self.policy.as_ref(), &domains, -free);
+        let residents = self.server.domains().filter(|d| !d.is_parked());
+        let plan = VectorPlanner::plan_into(self.policy.as_ref(), residents, -free, scratch);
         let before = self.allocations_if_logged();
         // Ignore the (negative) shortfall: not being able to place all freed
         // resources simply means residents are already fully inflated.

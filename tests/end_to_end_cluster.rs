@@ -190,7 +190,9 @@ fn the_manager_keeps_no_deflation_notification_backlog() {
     // notifications, so the manager must not log them: after ~2,000 VMs
     // have come and gone on a 50%-overcommitted cluster (each admission
     // under pressure deflating residents, each departure reinflating
-    // them), the servers own exactly the bytes of a freshly built cluster.
+    // them), the servers own exactly the bytes of a freshly built cluster
+    // plus the shared planning scratch, which a second round of the same
+    // churn does not grow.
     let workload = workload(2_000, 7, MinAllocationRule::None);
     let config = config_at(&workload, 0.5);
     let mode = || ReclamationMode::Deflation(Arc::new(ProportionalDeflation::default()));
@@ -202,19 +204,26 @@ fn the_manager_keeps_no_deflation_notification_backlog() {
     let fresh = ClusterManager::new(&config, mode());
 
     let mut manager = ClusterManager::new(&config, mode());
-    let placed: Vec<VmId> = workload
-        .iter()
-        .filter(|vm| manager.place_vm(vm.spec.clone()).is_placed())
-        .map(|vm| vm.spec.id)
-        .collect();
+    let churn = |manager: &mut ClusterManager| {
+        let placed: Vec<VmId> = workload
+            .iter()
+            .filter(|vm| manager.place_vm(vm.spec.clone()).is_placed())
+            .map(|vm| vm.spec.id)
+            .collect();
+        assert!(servers_bytes(manager) > servers_bytes(&fresh));
+        for vm in placed {
+            manager.remove_vm(vm).unwrap();
+        }
+    };
+    churn(&mut manager);
     assert!(
         manager.counters().admitted_with_deflation > 100,
         "{:?}",
         manager.counters()
     );
-    assert!(servers_bytes(&manager) > servers_bytes(&fresh));
-    for vm in placed {
-        manager.remove_vm(vm).unwrap();
-    }
-    assert_eq!(servers_bytes(&manager), servers_bytes(&fresh));
+    let scratch = manager.plan_scratch_bytes();
+    assert!(scratch > 0, "planning scratch not counted");
+    assert_eq!(servers_bytes(&manager), servers_bytes(&fresh) + scratch);
+    churn(&mut manager);
+    assert_eq!(servers_bytes(&manager), servers_bytes(&fresh) + scratch);
 }

@@ -5,8 +5,8 @@
 use proptest::prelude::*;
 use vmdeflate::core::perfmodel::PerfModel;
 use vmdeflate::core::policy::{
-    DeflationPolicy, DeterministicDeflation, PriorityDeflation, ProportionalDeflation,
-    VectorPlanner, VmResourceState,
+    DeflationPolicy, DeterministicDeflation, PlanScratch, PolicyScratch, PriorityDeflation,
+    ProportionalDeflation, ScalarPlan, VectorPlan, VectorPlanner, VmResourceState,
 };
 use vmdeflate::core::resources::{ResourceKind, ResourceVector};
 use vmdeflate::core::vm::{Priority, ServerId, VmClass, VmId, VmSpec};
@@ -23,7 +23,7 @@ fn arb_vector() -> impl Strategy<Value = ResourceVector> {
 }
 
 /// A set of deflatable-VM scalar states with consistent `min ≤ current ≤ max`.
-fn arb_vm_states(max_vms: usize) -> impl Strategy<Value = Vec<VmResourceState>> {
+fn arb_vm_states(sizes: std::ops::Range<usize>) -> impl Strategy<Value = Vec<VmResourceState>> {
     prop::collection::vec(
         (
             1.0f64..32_000.0, // max
@@ -31,7 +31,7 @@ fn arb_vm_states(max_vms: usize) -> impl Strategy<Value = Vec<VmResourceState>> 
             0.0f64..1.0,      // current as a fraction of the [min, max] span
             0.05f64..1.0,     // priority
         ),
-        1..max_vms,
+        sizes,
     )
     .prop_map(|raw| {
         raw.into_iter()
@@ -101,7 +101,7 @@ fn check_plan_invariants(
 /// allocation it is currently deflated to.
 type ResidentDraw = (u64, f64, f64, f64, f64, (f64, f64));
 
-fn arb_residents(max_vms: usize) -> impl Strategy<Value = Vec<ResidentDraw>> {
+fn arb_residents(sizes: std::ops::Range<usize>) -> impl Strategy<Value = Vec<ResidentDraw>> {
     prop::collection::vec(
         (
             1u64..4,
@@ -111,7 +111,7 @@ fn arb_residents(max_vms: usize) -> impl Strategy<Value = Vec<ResidentDraw>> {
             0.05f64..1.0,
             (0.0f64..3.0, 0.2f64..1.0),
         ),
-        0..max_vms,
+        sizes,
     )
 }
 
@@ -186,6 +186,105 @@ fn check_apply_targets(
     Ok(())
 }
 
+/// A scalar plan as exact bits, so that `-0.0 ≠ 0.0` and NaNs compare.
+fn scalar_bits(plan: &ScalarPlan) -> Vec<(u64, u64)> {
+    plan.targets
+        .iter()
+        .map(|&(id, t)| (id.0, t.to_bits()))
+        .chain([
+            (u64::MAX, plan.reclaimed.to_bits()),
+            (u64::MAX, plan.shortfall.to_bits()),
+        ])
+        .collect()
+}
+
+/// A vector plan as exact bits.
+fn vector_bits(plan: &VectorPlan) -> Vec<(u64, [u64; 4])> {
+    let bits = |v: &ResourceVector| ResourceKind::ALL.map(|k| v[k].to_bits());
+    plan.targets
+        .iter()
+        .map(|(id, v)| (id.0, bits(v)))
+        .chain([
+            (u64::MAX, bits(&plan.reclaimed)),
+            (u64::MAX, bits(&plan.shortfall)),
+        ])
+        .collect()
+}
+
+/// `plan_into` through the given buffers, as a [`ScalarPlan`].
+fn plan_through(
+    policy: &dyn DeflationPolicy,
+    vms: &[VmResourceState],
+    demand: f64,
+    work: &mut PolicyScratch,
+    targets: &mut Vec<f64>,
+) -> ScalarPlan {
+    let (reclaimed, shortfall) = policy.plan_into(vms, demand, work, targets);
+    ScalarPlan {
+        targets: vms
+            .iter()
+            .map(|vm| vm.id)
+            .zip(targets.iter().copied())
+            .collect(),
+        reclaimed,
+        shortfall,
+    }
+}
+
+/// Plan `vms` into the reused `work` and `targets`, then check the result
+/// bit for bit against fresh buffers and against the `plan()` wrapper.
+fn check_reused_scalar_plan(
+    policy: &dyn DeflationPolicy,
+    vms: &[VmResourceState],
+    demand: f64,
+    work: &mut PolicyScratch,
+    targets: &mut Vec<f64>,
+) -> Result<(), TestCaseError> {
+    let reused = scalar_bits(&plan_through(policy, vms, demand, work, targets));
+    let fresh = plan_through(
+        policy,
+        vms,
+        demand,
+        &mut PolicyScratch::default(),
+        &mut Vec::new(),
+    );
+    prop_assert_eq!(&reused, &scalar_bits(&fresh), "{} vs fresh", policy.name());
+    let wrapped = policy.plan(vms, demand);
+    prop_assert_eq!(
+        &reused,
+        &scalar_bits(&wrapped),
+        "{} vs plan()",
+        policy.name()
+    );
+    Ok(())
+}
+
+/// The vector-level twin of [`check_reused_scalar_plan`].
+fn check_reused_vector_plan(
+    policy: &dyn DeflationPolicy,
+    server: &SimServer,
+    demand: ResourceVector,
+    scratch: &mut PlanScratch,
+) -> Result<(), TestCaseError> {
+    let reused = vector_bits(VectorPlanner::plan_into(
+        policy,
+        server.domains(),
+        demand,
+        scratch,
+    ));
+    let fresh = vector_bits(VectorPlanner::plan_into(
+        policy,
+        server.domains(),
+        demand,
+        &mut PlanScratch::default(),
+    ));
+    prop_assert_eq!(&reused, &fresh, "{} vs fresh", policy.name());
+    let domains: Vec<_> = server.domains().collect();
+    let wrapped = vector_bits(&VectorPlanner::plan(policy, &domains, demand));
+    prop_assert_eq!(&reused, &wrapped, "{} vs plan()", policy.name());
+    Ok(())
+}
+
 fn arb_demand() -> impl Strategy<Value = (f64, f64, f64, f64)> {
     (-1.0f64..1.0, -1.0f64..1.0, -1.0f64..1.0, -1.0f64..1.0)
 }
@@ -195,7 +294,7 @@ proptest! {
 
     #[test]
     fn apply_targets_matches_per_target_deflate_to(
-        residents in arb_residents(16),
+        residents in arb_residents(0..16),
         demand in arb_demand(),
     ) {
         let server = arb_server(&residents);
@@ -213,25 +312,67 @@ proptest! {
     }
 
     #[test]
-    fn proportional_plan_invariants(vms in arb_vm_states(12), demand in -50_000.0f64..100_000.0) {
+    fn reused_scratch_plans_match_fresh_ones(
+        large in arb_vm_states(12..24),
+        small in arb_vm_states(1..12),
+        demand in 0.0f64..100_000.0,
+        large_residents in arb_residents(12..24),
+        small_residents in arb_residents(0..12),
+        fractions in arb_demand(),
+    ) {
+        let (large_server, small_server) = (arb_server(&large_residents), arb_server(&small_residents));
+        let vector_demand = |server: &SimServer, sign: f64| {
+            let c = server.committed();
+            ResourceVector::new(
+                c.cpu() * fractions.0.abs() * sign,
+                c.memory() * fractions.1.abs() * sign,
+                c.disk_bw() * fractions.2.abs() * sign,
+                c.net_bw() * fractions.3.abs() * sign,
+            )
+        };
+        let policies: [&dyn DeflationPolicy; 6] = [
+            &ProportionalDeflation::by_size(),
+            &ProportionalDeflation::by_deflatable_span(),
+            &PriorityDeflation::weighted(),
+            &PriorityDeflation::with_priority_floor(),
+            &DeterministicDeflation::binary(),
+            &DeterministicDeflation::with_partial_last(),
+        ];
+        for policy in policies {
+            // One set of buffers per policy, reused larger-then-smaller
+            // for deflation and again for reinflation.
+            let (mut work, mut targets) = (PolicyScratch::default(), Vec::new());
+            let mut scratch = PlanScratch::default();
+            for sign in [1.0, -1.0] {
+                check_reused_scalar_plan(policy, &large, sign * demand, &mut work, &mut targets)?;
+                check_reused_scalar_plan(policy, &small, sign * demand, &mut work, &mut targets)?;
+                for server in [&large_server, &small_server] {
+                    check_reused_vector_plan(policy, server, vector_demand(server, sign), &mut scratch)?;
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn proportional_plan_invariants(vms in arb_vm_states(1..12), demand in -50_000.0f64..100_000.0) {
         check_plan_invariants(&ProportionalDeflation::default(), &vms, demand)?;
         check_plan_invariants(&ProportionalDeflation::by_size(), &vms, demand)?;
     }
 
     #[test]
-    fn priority_plan_invariants(vms in arb_vm_states(12), demand in -50_000.0f64..100_000.0) {
+    fn priority_plan_invariants(vms in arb_vm_states(1..12), demand in -50_000.0f64..100_000.0) {
         check_plan_invariants(&PriorityDeflation::weighted(), &vms, demand)?;
         check_plan_invariants(&PriorityDeflation::with_priority_floor(), &vms, demand)?;
     }
 
     #[test]
-    fn deterministic_plan_invariants(vms in arb_vm_states(12), demand in -50_000.0f64..100_000.0) {
+    fn deterministic_plan_invariants(vms in arb_vm_states(1..12), demand in -50_000.0f64..100_000.0) {
         check_plan_invariants(&DeterministicDeflation::binary(), &vms, demand)?;
         check_plan_invariants(&DeterministicDeflation::with_partial_last(), &vms, demand)?;
     }
 
     #[test]
-    fn proportional_satisfies_feasible_demands(vms in arb_vm_states(12), frac in 0.0f64..1.0) {
+    fn proportional_satisfies_feasible_demands(vms in arb_vm_states(1..12), frac in 0.0f64..1.0) {
         // Any demand within the total headroom is fully satisfied.
         let headroom: f64 = vms.iter().map(|v| v.deflatable_headroom()).sum();
         let demand = headroom * frac;
