@@ -370,16 +370,24 @@ struct StagedTransfer {
     /// Absolute abort deadline; infinite for migrate-backs.
     deadline_secs: f64,
     back: bool,
-    /// Whether staging inserted the migration-origin entry, so a rejection
-    /// can undo exactly its own bookkeeping.
-    origin_inserted: bool,
+}
+
+/// How [`ClusterManager::admit_on_best`] tries the server it ranked best.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Attempt {
+    /// Deflate the server's residents as far as needed (`try_admit_with`).
+    Deflate,
+    /// Create the domain only where its full allocation fits free capacity.
+    FreeFit,
+    /// Kill lowest-priority deflatable residents until the full allocation
+    /// fits free capacity, then create the domain.
+    Preempt,
 }
 
 /// The centralized cluster manager.
 pub struct ClusterManager {
     controllers: Vec<LocalController>,
     placement: Box<dyn PlacementPolicy>,
-    partitions: PartitionScheme,
     mechanism: DeflationMechanism,
     base_capacity: ResourceVector,
     mode: ReclamationMode,
@@ -472,7 +480,6 @@ impl ClusterManager {
         ClusterManager {
             controllers,
             placement: config.placement.build(config.partitions),
-            partitions: config.partitions,
             mechanism: config.mechanism,
             base_capacity: config.server_capacity,
             mode,
@@ -841,10 +848,17 @@ impl ClusterManager {
         // The span guard owns its handle, so the placement paths below can
         // still borrow `self` mutably while the ranking is being timed.
         let _rank = self.telemetry.span(Phase::PlacementRank);
-        let result = match self.mode.clone() {
-            ReclamationMode::Deflation(_) => self.place_with_deflation(&spec),
-            ReclamationMode::Preemption => self.place_with_preemption(&spec),
-            ReclamationMode::MigrationOnly => self.place_without_reclamation(&spec),
+        let attempt = match self.mode {
+            ReclamationMode::Deflation(_) => Attempt::Deflate,
+            ReclamationMode::Preemption => Attempt::Preempt,
+            ReclamationMode::MigrationOnly => Attempt::FreeFit,
+        };
+        let result = match self.admit_on_best(&spec, Vec::new(), attempt) {
+            Some((idx, placed)) => {
+                self.vm_location.insert(spec.id, idx);
+                placed
+            }
+            None => PlacementResult::Rejected,
         };
         match &result {
             PlacementResult::Placed { .. } => self.counters.admitted_free += 1,
@@ -862,119 +876,6 @@ impl ClusterManager {
 
     fn server_index(&self, id: ServerId) -> usize {
         id.0 as usize
-    }
-
-    fn place_with_deflation(&mut self, spec: &VmSpec) -> PlacementResult {
-        let mut excluded: Vec<ServerId> = Vec::new();
-        loop {
-            let Some(decision) = self.rank_servers(spec, &excluded) else {
-                return PlacementResult::Rejected;
-            };
-            let idx = self.server_index(decision.server);
-            // Admission deflates residents and/or adds a domain; a failed
-            // attempt can still have deflated, so mark unconditionally.
-            self.mark_server_dirty(idx);
-            match self.controllers[idx].try_admit_with(spec.clone(), &mut self.plan_scratch) {
-                Ok(AdmissionOutcome::AdmittedWithoutDeflation) => {
-                    self.vm_location.insert(spec.id, idx);
-                    return PlacementResult::Placed {
-                        server: decision.server,
-                    };
-                }
-                Ok(AdmissionOutcome::AdmittedWithDeflation { reclaimed }) => {
-                    self.vm_location.insert(spec.id, idx);
-                    return PlacementResult::PlacedWithDeflation {
-                        server: decision.server,
-                        reclaimed,
-                    };
-                }
-                Ok(AdmissionOutcome::Rejected { .. }) => {
-                    excluded.push(decision.server);
-                }
-                Err(_) => {
-                    excluded.push(decision.server);
-                }
-            }
-            if excluded.len() >= self.controllers.len() {
-                return PlacementResult::Rejected;
-            }
-        }
-    }
-
-    fn place_with_preemption(&mut self, spec: &VmSpec) -> PlacementResult {
-        let mut excluded: Vec<ServerId> = Vec::new();
-        loop {
-            let Some(decision) = self.rank_servers(spec, &excluded) else {
-                return PlacementResult::Rejected;
-            };
-            let idx = self.server_index(decision.server);
-            // Victim teardown and the admission below both change the
-            // server's view; mark once up front.
-            self.mark_server_dirty(idx);
-            // Preempt lowest-priority deflatable VMs until the new VM fits.
-            let mut preempted = Vec::new();
-            loop {
-                let server = self.controllers[idx].server();
-                if spec.max_allocation.fits_within(&server.free()) {
-                    break;
-                }
-                let victim = server
-                    .domains()
-                    .filter(|d| d.spec.deflatable)
-                    .min_by(|a, b| {
-                        a.spec
-                            .priority
-                            .value()
-                            .partial_cmp(&b.spec.priority.value())
-                            .unwrap_or(std::cmp::Ordering::Equal)
-                    })
-                    .map(|d| d.spec.id);
-                let Some(victim) = victim else { break };
-                let _ = self.controllers[idx].server_mut().destroy_domain(victim);
-                self.vm_location.remove(&victim);
-                preempted.push(victim);
-            }
-            let server = self.controllers[idx].server();
-            if spec.max_allocation.fits_within(&server.free()) {
-                let mechanism = DeflationMechanism::Transparent;
-                if self.controllers[idx]
-                    .server_mut()
-                    .create_domain(spec.clone(), mechanism)
-                    .is_ok()
-                {
-                    self.vm_location.insert(spec.id, idx);
-                    return if preempted.is_empty() {
-                        PlacementResult::Placed {
-                            server: decision.server,
-                        }
-                    } else {
-                        PlacementResult::PlacedWithPreemption {
-                            server: decision.server,
-                            preempted,
-                        }
-                    };
-                }
-            }
-            excluded.push(decision.server);
-            if excluded.len() >= self.controllers.len() {
-                return PlacementResult::Rejected;
-            }
-        }
-    }
-
-    /// Place a VM only where its full allocation fits free capacity — no
-    /// deflation, no preemption (the migration-only baseline's admission
-    /// path).
-    fn place_without_reclamation(&mut self, spec: &VmSpec) -> PlacementResult {
-        match self.admit_on_best(spec, Vec::new(), false) {
-            Some(idx) => {
-                self.vm_location.insert(spec.id, idx);
-                PlacementResult::Placed {
-                    server: self.controllers[idx].server().id,
-                }
-            }
-            None => PlacementResult::Rejected,
-        }
     }
 
     /// Handle a provider-side **capacity reclamation** at one server: shrink
@@ -1068,7 +969,7 @@ impl ClusterManager {
             .is_ok()
         {
             self.controllers[idx]
-                .reinflate_partial_with(self.restore_policy.step_fraction, &mut self.plan_scratch);
+                .reinflate_partial(self.restore_policy.step_fraction, &mut self.plan_scratch);
         }
     }
 
@@ -1106,18 +1007,17 @@ impl ClusterManager {
         let deadline = now_secs + self.cost_model.reclaim_deadline_secs.max(0.0);
         match self.mode.clone() {
             ReclamationMode::Deflation(_) => {
-                let remaining =
-                    self.controllers[idx].deflate_into_capacity_with(&mut self.plan_scratch);
+                let remaining = self.controllers[idx].deflate_into_capacity(&mut self.plan_scratch);
                 self.mark_server_dirty(idx);
                 if remaining.is_zero() {
                     self.transient.absorbed_by_deflation += 1;
                     return;
                 }
-                self.migrate_until_fits(idx, true, now_secs, deadline, outcome);
+                self.migrate_until_fits(idx, Attempt::Deflate, now_secs, deadline, outcome);
                 self.kill_until_fits(idx, outcome);
             }
             ReclamationMode::MigrationOnly => {
-                self.migrate_until_fits(idx, false, now_secs, deadline, outcome);
+                self.migrate_until_fits(idx, Attempt::FreeFit, now_secs, deadline, outcome);
                 self.kill_until_fits(idx, outcome);
             }
             ReclamationMode::Preemption => {
@@ -1168,7 +1068,7 @@ impl ClusterManager {
         }
 
         if migrate_back {
-            let displaced: Vec<VmId> = self
+            let mut displaced: Vec<VmId> = self
                 .migration_origin
                 .iter()
                 .filter(|&(vm, &origin)| {
@@ -1179,7 +1079,6 @@ impl ClusterManager {
                 .map(|(&vm, _)| vm)
                 .collect();
             // Deterministic order: lowest VM id first.
-            let mut displaced = displaced;
             displaced.sort();
             for vm in displaced {
                 let Some(&current) = self.vm_location.get(&vm) else {
@@ -1210,71 +1109,25 @@ impl ClusterManager {
                 {
                     continue;
                 }
-                if duration <= 0.0 {
-                    // Cost-free transfer: complete the move inline, the
-                    // guest state travelling home with it.
-                    let src = self.controllers[current].server().domain(vm).cloned();
-                    self.depart_and_reinflate(current, vm);
-                    self.mark_server_dirty(idx);
-                    if self.controllers[idx]
-                        .server_mut()
-                        .create_domain(spec, self.mechanism)
-                        .is_ok()
-                    {
-                        if let (Some(src), Some(dst)) =
-                            (&src, self.controllers[idx].server_mut().domain_mut(vm))
-                        {
-                            dst.migrate_guest_state_from(src);
-                        }
-                        self.vm_location.insert(vm, idx);
-                        self.migration_origin.remove(&vm);
-                        self.transient.migrations_back += 1;
-                        outcome.migrated.push(MigrationRecord {
-                            vm,
-                            from: self.controllers[current].server().id,
-                            to: server,
-                            duration_secs: 0.0,
-                            volume_mb: volume,
-                            back: true,
-                        });
-                        outcome.touch(self.controllers[current].server().id);
-                    } else {
-                        // The domain was destroyed but could not be recreated
-                        // — should not happen since we checked the fit, but
-                        // account for it rather than losing the VM silently.
-                        // The old server's residents were reinflated by the
-                        // departure, so its allocations must be re-recorded
-                        // too.
-                        self.vm_location.remove(&vm);
-                        self.migration_origin.remove(&vm);
-                        self.transient.reclamation_victims += 1;
-                        outcome.victims.push(vm);
-                        outcome.touch(self.controllers[current].server().id);
-                    }
-                } else {
-                    // Costed transfer: reserve the origin-side capacity now,
-                    // keep the VM running where it is, and let the
-                    // MigrationComplete event land it back home. Staged like
-                    // any other transfer; the deadline is infinite because
-                    // restitutions are not emergencies.
-                    self.mark_server_dirty(idx);
-                    if self.controllers[idx]
-                        .server_mut()
-                        .create_domain(spec, self.mechanism)
-                        .is_ok()
-                    {
-                        self.staged.push(StagedTransfer {
-                            vm,
-                            source: current,
-                            dest: idx,
-                            duration_secs: duration,
-                            volume_mb: volume,
-                            deadline_secs: f64::INFINITY,
-                            back: true,
-                            origin_inserted: false,
-                        });
-                        outcome.touch(server);
-                    }
+                // The home domain exists before the away copy goes (the two
+                // servers differ). The deadline is infinite because
+                // restitutions are not emergencies.
+                self.mark_server_dirty(idx);
+                if self.controllers[idx]
+                    .server_mut()
+                    .create_domain(spec, self.mechanism)
+                    .is_ok()
+                {
+                    let transfer = StagedTransfer {
+                        vm,
+                        source: current,
+                        dest: idx,
+                        duration_secs: duration,
+                        volume_mb: volume,
+                        deadline_secs: f64::INFINITY,
+                        back: true,
+                    };
+                    self.begin_transfer(transfer, &mut outcome);
                 }
             }
             self.finalize_staged(now_secs, &mut outcome);
@@ -1287,8 +1140,9 @@ impl ClusterManager {
     /// usage — minus what in-flight transfers have already pledged to take
     /// away — fits. Candidates are tried most-deflated first (deflatable
     /// VMs ordered by ascending allocation fraction, then on-demand VMs),
-    /// and each is re-admitted on the best other server — deflating that
-    /// server's residents when `deflation_aware` is set. Each migration is
+    /// and each is re-admitted on the best other server by `attempt` —
+    /// deflating that server's residents, or only where it fits free
+    /// capacity. Each migration is
     /// charged by the cost model: instant transfers complete inline, costed
     /// ones are *staged* and handed to the [`TransferScheduler`] as one
     /// batch — the scheduling policy decides their slot order, and under
@@ -1303,13 +1157,13 @@ impl ClusterManager {
     fn migrate_until_fits(
         &mut self,
         source: usize,
-        deflation_aware: bool,
+        attempt: Attempt,
         now_secs: f64,
         deadline_secs: f64,
         outcome: &mut CapacityChangeOutcome,
     ) {
         debug_assert!(self.staged.is_empty());
-        self.stage_migrations_until_fits(source, deflation_aware, deadline_secs, outcome);
+        self.stage_migrations_until_fits(source, attempt, deadline_secs, outcome);
         self.finalize_staged(now_secs, outcome);
     }
 
@@ -1319,12 +1173,13 @@ impl ClusterManager {
     fn stage_migrations_until_fits(
         &mut self,
         source: usize,
-        deflation_aware: bool,
+        attempt: Attempt,
         deadline_secs: f64,
         outcome: &mut CapacityChangeOutcome,
     ) {
         let source_id = self.controllers[source].server().id;
-        let deflate_first = self.scheduler.policy().deflate_then_migrate && deflation_aware;
+        let deflate_first =
+            self.scheduler.policy().deflate_then_migrate && attempt == Attempt::Deflate;
         let mut attempted: Vec<VmId> = Vec::new();
         loop {
             if self.fits_with_pending(source) {
@@ -1392,53 +1247,81 @@ impl ClusterManager {
                 // through to eviction for this VM.
                 continue;
             }
-            let Some(target) = self.admit_on_best(&spec, vec![source_id], deflation_aware) else {
+            let Some((target, _)) = self.admit_on_best(&spec, vec![source_id], attempt) else {
                 continue;
             };
-            if duration <= 0.0 {
-                // Cost-free transfer: the VM now exists on the target;
-                // its guest state moves over, and the source copy is
-                // destroyed without reinflating yet (the server is still
-                // over capacity).
-                if let Some(src) = self.controllers[source].server().domain(vm) {
-                    let src = src.clone();
-                    if let Some(dst) = self.controllers[target].server_mut().domain_mut(vm) {
-                        dst.migrate_guest_state_from(&src);
-                    }
-                }
-                let _ = self.controllers[source].server_mut().destroy_domain(vm);
-                self.mark_server_dirty(source);
-                self.vm_location.insert(vm, target);
-                self.migration_origin.entry(vm).or_insert(source);
-                self.transient.migrations += 1;
-                outcome.migrated.push(MigrationRecord {
-                    vm,
-                    from: source_id,
-                    to: self.controllers[target].server().id,
-                    duration_secs: 0.0,
-                    volume_mb: volume,
-                    back: false,
-                });
-                outcome.touch(self.controllers[target].server().id);
-            } else {
-                // Costed transfer: the destination reservation exists, the
-                // source copy keeps running; the scheduler grants (or
-                // refuses) the bandwidth slot when the batch is finalised.
-                let origin_inserted = !self.migration_origin.contains_key(&vm);
-                self.migration_origin.entry(vm).or_insert(source);
-                self.staged.push(StagedTransfer {
-                    vm,
-                    source,
-                    dest: target,
-                    duration_secs: duration,
-                    volume_mb: volume,
-                    deadline_secs,
-                    back: false,
-                    origin_inserted,
-                });
-                outcome.touch(self.controllers[target].server().id);
+            let transfer = StagedTransfer {
+                vm,
+                source,
+                dest: target,
+                duration_secs: duration,
+                volume_mb: volume,
+                deadline_secs,
+                back: false,
+            };
+            self.begin_transfer(transfer, outcome);
+        }
+    }
+
+    /// Start moving a VM whose domain already exists on `transfer.dest`.
+    /// A cost-free transfer lands inline; a costed one is staged for the
+    /// [`TransferScheduler`], keeps running on its source and lands at its
+    /// `MigrationComplete` event. An inline migrate-back reinflates its
+    /// source at once. An inline forward move does not: mid-ladder the
+    /// source is still over capacity, and the ladder's closing
+    /// [`reinflate_if_fits`](Self::reinflate_if_fits) hands out its room.
+    fn begin_transfer(&mut self, transfer: StagedTransfer, outcome: &mut CapacityChangeOutcome) {
+        let to = self.controllers[transfer.dest].server().id;
+        if transfer.duration_secs <= 0.0 {
+            let record = MigrationRecord {
+                vm: transfer.vm,
+                from: self.controllers[transfer.source].server().id,
+                to,
+                duration_secs: 0.0,
+                volume_mb: transfer.volume_mb,
+                back: transfer.back,
+            };
+            self.land(record, outcome);
+            if transfer.back {
+                self.reinflate_if_fits(transfer.source);
+            }
+        } else {
+            self.staged.push(transfer);
+            outcome.touch(to);
+        }
+    }
+
+    /// Land a moved VM on `record.to`, where its domain already exists.
+    /// The guest's memory state (RSS, squeezed-or-not page cache,
+    /// utilisation history) travels with it, as live migration does; the
+    /// source copy is destroyed; location, migration origin and the
+    /// `migrations` or `migrations_back` counter follow the move; and the
+    /// record joins `outcome`. The source is not reinflated here.
+    fn land(&mut self, record: MigrationRecord, outcome: &mut CapacityChangeOutcome) {
+        let vm = record.vm;
+        let (source, dest) = (self.server_index(record.from), self.server_index(record.to));
+        if let Some(src) = self.controllers[source].server().domain(vm).cloned() {
+            if let Some(dst) = self.controllers[dest].server_mut().domain_mut(vm) {
+                dst.migrate_guest_state_from(&src);
             }
         }
+        // The guest-state copy carries the source's hotplug / deflation
+        // state onto the destination domain, changing its effective
+        // allocation — a view-affecting mutation.
+        self.mark_server_dirty(dest);
+        let _ = self.controllers[source].server_mut().destroy_domain(vm);
+        self.mark_server_dirty(source);
+        self.vm_location.insert(vm, dest);
+        if record.back {
+            self.migration_origin.remove(&vm);
+            self.transient.migrations_back += 1;
+        } else {
+            self.migration_origin.entry(vm).or_insert(source);
+            self.transient.migrations += 1;
+        }
+        outcome.touch(record.to);
+        outcome.touch(record.from);
+        outcome.migrated.push(record);
     }
 
     /// Hand the current decision batch to the [`TransferScheduler`] and
@@ -1482,6 +1365,9 @@ impl ClusterManager {
                         back: s.back,
                     };
                     debug_assert_eq!(flight.event_secs(), event_secs);
+                    // A forward move remembers its first source; a
+                    // migrate-back's entry (its destination) is already there.
+                    self.migration_origin.entry(s.vm).or_insert(s.source);
                     let id = self.next_migration_id;
                     self.next_migration_id += 1;
                     self.in_flight.insert(id, flight);
@@ -1500,9 +1386,6 @@ impl ClusterManager {
                     // deadline, so no link time is wasted on it. Drop the
                     // destination reservation; the VM stays on its source.
                     self.depart_and_reinflate(s.dest, s.vm);
-                    if s.origin_inserted {
-                        self.migration_origin.remove(&s.vm);
-                    }
                     self.transient.migration_rejections += 1;
                     outcome.touch(self.controllers[s.dest].server().id);
                 }
@@ -1538,39 +1421,16 @@ impl ClusterManager {
             self.transient.reclamation_victims += 1;
             outcome.victims.push(flight.vm);
         } else {
-            // Success: land on the destination — carrying the guest's
-            // memory state (RSS, squeezed-or-not page cache, utilisation
-            // history) with it, as live migration does — and free the
-            // source.
-            if let Some(src) = self.controllers[flight.source].server().domain(flight.vm) {
-                let src = src.clone();
-                if let Some(dst) = self.controllers[flight.dest]
-                    .server_mut()
-                    .domain_mut(flight.vm)
-                {
-                    dst.migrate_guest_state_from(&src);
-                }
-            }
-            // The guest-state copy above carries the source's hotplug /
-            // deflation state onto the destination domain, changing its
-            // effective allocation — a view-affecting mutation.
-            self.mark_server_dirty(flight.dest);
-            self.depart_and_reinflate(flight.source, flight.vm);
-            self.vm_location.insert(flight.vm, flight.dest);
-            if flight.back {
-                self.migration_origin.remove(&flight.vm);
-                self.transient.migrations_back += 1;
-            } else {
-                self.transient.migrations += 1;
-            }
-            outcome.migrated.push(MigrationRecord {
+            let record = MigrationRecord {
                 vm: flight.vm,
                 from,
                 to,
                 duration_secs: flight.finish_secs - flight.start_secs,
                 volume_mb: flight.volume_mb,
                 back: flight.back,
-            });
+            };
+            self.land(record, &mut outcome);
+            self.reinflate_if_fits(flight.source);
         }
         outcome
     }
@@ -1612,45 +1472,96 @@ impl ClusterManager {
             .fits_within(&server.capacity)
     }
 
-    /// Admit a VM on the best server outside `excluded`, optionally
-    /// deflating the target's residents. Returns the chosen server index.
-    /// The caller is responsible for `vm_location` bookkeeping.
+    /// Admit a VM on the best server outside `excluded`: rank the servers,
+    /// make one `attempt` on the winner, and on failure exclude it and
+    /// re-rank, until a server admits the VM or none is left. Returns the
+    /// chosen server index and the placement the attempt made there. The
+    /// caller is responsible for `vm_location` bookkeeping.
     fn admit_on_best(
         &mut self,
         spec: &VmSpec,
         mut excluded: Vec<ServerId>,
-        deflation_aware: bool,
-    ) -> Option<usize> {
+        attempt: Attempt,
+    ) -> Option<(usize, PlacementResult)> {
         loop {
             if excluded.len() >= self.controllers.len() {
                 return None;
             }
             let decision = self.rank_servers(spec, &excluded)?;
             let idx = self.server_index(decision.server);
-            // Both admission paths below may mutate the target (deflation
-            // and/or a new domain); mark before attempting.
+            // Every attempt may mutate the target (deflation, victims, a
+            // new domain), even one that fails; mark before attempting.
             self.mark_server_dirty(idx);
-            let admitted = if deflation_aware {
-                matches!(
-                    self.controllers[idx].try_admit_with(spec.clone(), &mut self.plan_scratch),
-                    Ok(AdmissionOutcome::AdmittedWithoutDeflation)
-                        | Ok(AdmissionOutcome::AdmittedWithDeflation { .. })
-                )
-            } else {
-                spec.max_allocation
-                    .fits_within(&self.controllers[idx].server().free())
-                    && self.controllers[idx]
-                        .server_mut()
-                        .create_domain(spec.clone(), self.mechanism)
-                        .is_ok()
+            let server = decision.server;
+            let placed = match attempt {
+                Attempt::Deflate => {
+                    match self.controllers[idx].try_admit_with(spec.clone(), &mut self.plan_scratch)
+                    {
+                        Ok(AdmissionOutcome::AdmittedWithoutDeflation) => {
+                            Some(PlacementResult::Placed { server })
+                        }
+                        Ok(AdmissionOutcome::AdmittedWithDeflation { reclaimed }) => {
+                            Some(PlacementResult::PlacedWithDeflation { server, reclaimed })
+                        }
+                        Ok(AdmissionOutcome::Rejected { .. }) | Err(_) => None,
+                    }
+                }
+                Attempt::FreeFit => self
+                    .create_if_free(idx, spec)
+                    .then_some(PlacementResult::Placed { server }),
+                Attempt::Preempt => {
+                    let preempted = self.preempt_until_free(idx, spec);
+                    let placed = if preempted.is_empty() {
+                        PlacementResult::Placed { server }
+                    } else {
+                        PlacementResult::PlacedWithPreemption { server, preempted }
+                    };
+                    self.create_if_free(idx, spec).then_some(placed)
+                }
             };
-            if admitted {
-                return Some(idx);
+            if let Some(placed) = placed {
+                return Some((idx, placed));
             }
-            excluded.push(decision.server);
-            if excluded.len() >= self.controllers.len() {
-                return None;
+            excluded.push(server);
+        }
+    }
+
+    /// Create `spec`'s domain on server `idx` if its full allocation fits
+    /// the free capacity there.
+    fn create_if_free(&mut self, idx: usize, spec: &VmSpec) -> bool {
+        let server = self.controllers[idx].server_mut();
+        spec.max_allocation.fits_within(&server.free())
+            && server.create_domain(spec.clone(), self.mechanism).is_ok()
+    }
+
+    /// Kill server `idx`'s lowest-priority deflatable residents until
+    /// `spec`'s full allocation fits its free capacity or no deflatable
+    /// resident is left. Returns the victims. (A server that still cannot
+    /// take the VM keeps its victims dead and uncounted.)
+    fn preempt_until_free(&mut self, idx: usize, spec: &VmSpec) -> Vec<VmId> {
+        let mut preempted = Vec::new();
+        loop {
+            let server = self.controllers[idx].server();
+            if spec.max_allocation.fits_within(&server.free()) {
+                return preempted;
             }
+            let victim = server
+                .domains()
+                .filter(|d| d.spec.deflatable)
+                .min_by(|a, b| {
+                    a.spec
+                        .priority
+                        .value()
+                        .partial_cmp(&b.spec.priority.value())
+                        .unwrap_or(std::cmp::Ordering::Equal)
+                })
+                .map(|d| d.spec.id);
+            let Some(victim) = victim else {
+                return preempted;
+            };
+            let _ = self.controllers[idx].server_mut().destroy_domain(victim);
+            self.vm_location.remove(&victim);
+            preempted.push(victim);
         }
     }
 
@@ -1744,12 +1655,6 @@ impl ClusterManager {
         self.controllers[idx].server_mut().destroy_domain(vm)?;
         self.reinflate_if_fits(idx);
         Ok(())
-    }
-
-    /// The partition scheme in effect (used by experiment harnesses for
-    /// reporting).
-    pub fn partition_scheme(&self) -> PartitionScheme {
-        self.partitions
     }
 
     /// Check every server's capacity invariant, allowing in-flight

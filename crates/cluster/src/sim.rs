@@ -72,9 +72,6 @@ pub struct ClusterSimulation {
     elastic_apps: Vec<ElasticApp>,
     telemetry: TelemetrySink,
     audit: AuditSpec,
-    /// Memory-ledger sampling cadence, in utilisation ticks (1 = every
-    /// tick). Only consulted when telemetry is enabled.
-    memory_sample_every_ticks: u64,
 }
 
 /// The engine's complete working state between event boundaries: the
@@ -274,7 +271,6 @@ impl ClusterSimulation {
             elastic_apps: Vec::new(),
             telemetry: TelemetrySink::disabled(),
             audit: AuditSpec::off(),
-            memory_sample_every_ticks: 1,
         }
     }
 
@@ -288,21 +284,6 @@ impl ClusterSimulation {
     /// [`Auditor`] documentation.
     pub fn with_audit(mut self, spec: AuditSpec) -> Self {
         self.audit = spec;
-        self
-    }
-
-    /// The audit spec in effect (off unless configured).
-    pub fn audit_spec(&self) -> AuditSpec {
-        self.audit
-    }
-
-    /// Sample the per-subsystem memory ledger every `ticks` utilisation
-    /// ticks (default 1 = every tick; values below 1 are clamped). The
-    /// ledger also publishes once at the end of every telemetry-enabled
-    /// run, so runs without utilisation ticks still report final `mem.*`
-    /// gauges.
-    pub fn with_memory_sample_every(mut self, ticks: u64) -> Self {
-        self.memory_sample_every_ticks = ticks.max(1);
         self
     }
 
@@ -831,13 +812,11 @@ impl ClusterSimulation {
                         }
                     }
                     // Memory-ledger sampling rides the utilisation-tick
-                    // cadence: per-subsystem byte gauges plus the live
-                    // VmRSS ground truth. Gauges only — skipped entirely
-                    // when telemetry is off, and never consulted by any
-                    // decision path.
-                    if self.telemetry.enabled()
-                        && (utilization.len() as u64).is_multiple_of(self.memory_sample_every_ticks)
-                    {
+                    // cadence, every tick: per-subsystem byte gauges plus
+                    // the live VmRSS ground truth. Gauges only — skipped
+                    // entirely when telemetry is off, and never consulted
+                    // by any decision path.
+                    if self.telemetry.enabled() {
                         self.publish_memory(
                             workload,
                             manager,

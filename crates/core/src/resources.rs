@@ -216,12 +216,6 @@ impl ResourceVector {
         self.zip_with(other, |a, b| (a - b).max(0.0))
     }
 
-    /// Element-wise multiplication (Hadamard product).
-    #[inline]
-    pub fn hadamard(&self, other: &Self) -> Self {
-        self.zip_with(other, |a, b| a * b)
-    }
-
     /// Element-wise division. Components of `other` that are zero yield zero
     /// rather than infinity, which is the convention used when normalising a
     /// usage vector by a capacity vector that lacks some dimension.
@@ -295,12 +289,6 @@ impl ResourceVector {
     /// True iff every component is (numerically) zero.
     pub fn is_zero(&self) -> bool {
         self.components.iter().all(|c| c.abs() <= 1e-12)
-    }
-
-    /// Scale each component by a per-component factor in `[0, 1]`, typically a
-    /// deflation ratio vector.
-    pub fn scaled_by(&self, factors: &Self) -> Self {
-        self.hadamard(factors)
     }
 
     /// The fraction of `capacity` used by `self`, component-wise, clamped to

@@ -226,7 +226,7 @@ impl VmSpec {
 /// Mutable allocation state of a running VM.
 ///
 /// `current` always satisfies `min_allocation ≤ current ≤ max_allocation`
-/// component-wise (checked by [`VmAllocation::set_current`]).
+/// component-wise: every constructor and mutator clamps into that range.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct VmAllocation {
     /// The VM's static spec.
@@ -254,11 +254,6 @@ impl VmAllocation {
     #[inline]
     pub fn current(&self) -> ResourceVector {
         self.current
-    }
-
-    /// Set the current allocation, clamping into `[min, max]`.
-    pub fn set_current(&mut self, alloc: ResourceVector) {
-        self.current = alloc.clamp(&self.spec.min_allocation, &self.spec.max_allocation);
     }
 
     /// Reclaim `amount` from the VM (component-wise), clamping at the

@@ -215,14 +215,8 @@ impl LocalController {
     /// [`SimServer::set_capacity`]. Returns the remaining per-resource
     /// overage: zero when deflation alone absorbed the reclamation,
     /// positive when the caller must fall back to migrating or destroying
-    /// residents.
-    pub fn deflate_into_capacity(&mut self) -> ResourceVector {
-        self.deflate_into_capacity_with(&mut PlanScratch::default())
-    }
-
-    /// [`deflate_into_capacity`](Self::deflate_into_capacity), planning in
-    /// caller-owned buffers.
-    pub fn deflate_into_capacity_with(&mut self, scratch: &mut PlanScratch) -> ResourceVector {
+    /// residents. Plans in caller-owned buffers.
+    pub fn deflate_into_capacity(&mut self, scratch: &mut PlanScratch) -> ResourceVector {
         let over = self
             .server
             .effective_used()
@@ -250,19 +244,14 @@ impl LocalController {
 
     /// [`reinflate`](Self::reinflate), planning in caller-owned buffers.
     pub fn reinflate_with(&mut self, scratch: &mut PlanScratch) {
-        self.reinflate_partial_with(1.0, scratch);
+        self.reinflate_partial(1.0, scratch);
     }
 
     /// Reinflate residents into only `fraction` of the currently free
     /// capacity — the spread-out half of the restore-hysteresis policy.
     /// `1.0` is the full greedy hand-back of [`reinflate`](Self::reinflate).
-    pub fn reinflate_partial(&mut self, fraction: f64) {
-        self.reinflate_partial_with(fraction, &mut PlanScratch::default());
-    }
-
-    /// [`reinflate_partial`](Self::reinflate_partial), planning in
-    /// caller-owned buffers.
-    pub fn reinflate_partial_with(&mut self, fraction: f64, scratch: &mut PlanScratch) {
+    /// Plans in caller-owned buffers.
+    pub fn reinflate_partial(&mut self, fraction: f64, scratch: &mut PlanScratch) {
         let free = self.server.free() * fraction.clamp(0.0, 1.0);
         if free.is_zero() {
             return;
@@ -418,7 +407,7 @@ mod tests {
         let full = ResourceVector::new(16_000.0, 32_768.0, 1_000.0, 10_000.0);
         // Reclaim half the server: residents must be deflated to fit.
         c.server_mut().set_capacity(full * 0.5);
-        let remaining = c.deflate_into_capacity();
+        let remaining = c.deflate_into_capacity(&mut PlanScratch::default());
         assert!(remaining.is_zero(), "unabsorbed overage {remaining}");
         assert!(c.server().check_capacity_invariant().is_ok());
         assert!(c
@@ -433,7 +422,9 @@ mod tests {
         }
         // A reclaim the free space already covers deflates nobody.
         c.server_mut().set_capacity(full);
-        assert!(c.deflate_into_capacity().is_zero());
+        assert!(c
+            .deflate_into_capacity(&mut PlanScratch::default())
+            .is_zero());
     }
 
     #[test]
@@ -468,7 +459,7 @@ mod tests {
         let d1 = c.server_mut().domain_mut(VmId(1)).unwrap();
         let half = d1.spec.max_allocation * 0.5;
         d1.deflate_to(half);
-        c.reinflate_partial(0.25);
+        c.reinflate_partial(0.25, &mut PlanScratch::default());
         let cpu = c
             .server()
             .domain(VmId(1))

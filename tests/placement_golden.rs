@@ -16,14 +16,26 @@
 //! at quick scale. Any drift here means the index changed a placement
 //! decision.
 //!
+//! Every grid above charges a costed migration model, so a third grid
+//! pins the cost-free paths: `fig_bandwidth_sweep`'s unlimited-bandwidth
+//! column, where every forward migration and every migrate-back lands
+//! inline inside its capacity event. It runs with every auditor checker
+//! on and the placement index rescanned after each event (the auditor is
+//! pinned result-neutral), so each inline landing is invariant-checked
+//! too.
+//!
 //! To re-pin after an *intentional* semantic change:
 //! `cargo test --release --test placement_golden -- --ignored --nocapture`
 
 use deflate_bench::transient_exp::{
     default_migration_cost, profiles, run_transient_on, run_transient_scheduled,
-    transient_workload, SchedulerVariant, TransientMode, SCHEDULER_SWEEP_MBPS,
+    transient_simulation, transient_workload, SchedulerVariant, TransientMode,
+    SCHEDULER_SWEEP_MBPS,
 };
 use deflate_bench::Scale;
+use vmdeflate::core::audit::AuditSpec;
+use vmdeflate::core::policy::TransferPolicy;
+use vmdeflate::hypervisor::migration::MigrationCostModel;
 use vmdeflate::transient::signal::CapacityProfile;
 
 mod common;
@@ -74,6 +86,35 @@ fn scheduler_digests() -> Vec<(String, u64)> {
     out
 }
 
+/// The cost-free migration grid: `fig_bandwidth_sweep`'s unlimited
+/// column under spot-market reclamation, one digest per mode, audited.
+fn instant_digests() -> Vec<(String, u64)> {
+    let workload = transient_workload(Scale::Quick);
+    let profile = CapacityProfile::spot_market_default();
+    let mut out = Vec::new();
+    for mode in [TransientMode::Deflation, TransientMode::MigrationOnly] {
+        let result = transient_simulation(
+            &workload,
+            Scale::Quick,
+            mode,
+            profile,
+            MigrationCostModel::instant(),
+            TransferPolicy::fifo(),
+        )
+        .with_audit(AuditSpec::all().with_placement_sample_every(1))
+        .run(&workload);
+        // The grid exists to cover inline landings in both directions.
+        assert!(
+            result.transient.migrations > 0 && result.transient.migrations_back > 0,
+            "{}: no cost-free migration in either direction ({:?})",
+            mode.name(),
+            result.transient
+        );
+        out.push((mode.name().to_string(), digest(&result)));
+    }
+    out
+}
+
 /// Golden digests captured from the PR 6 full-rescan implementation on the
 /// `fig_transient` quick grid.
 const TRANSIENT_GOLDEN: [(&str, u64); 9] = [
@@ -120,13 +161,22 @@ const SCHEDULER_GOLDEN: [(&str, u64); 27] = [
     ("312/migration-only/edf", 0x2cfe921db2db5f9f),
 ];
 
+/// Golden digests of the cost-free grid, captured before the cluster
+/// manager's admission loops and landing paths were merged into one each
+/// (37 forward and 29 back migrations under deflation, 92 and 76 under
+/// migration-only).
+const INSTANT_GOLDEN: [(&str, u64); 2] = [
+    ("deflation", 0x89df9127b378d048),
+    ("migration-only", 0x44105deac05c86ed),
+];
+
 fn assert_matches_golden(actual: &[(String, u64)], golden: &[(&str, u64)], what: &str) {
     assert_eq!(actual.len(), golden.len(), "{what}: row count drifted");
     for ((label, hash), (want_label, want_hash)) in actual.iter().zip(golden) {
         assert_eq!(label, want_label, "{what}: row order drifted");
         assert_eq!(
             *hash, *want_hash,
-            "{what} row `{label}`: SimResult drifted from the PR 6 full-rescan golden \
+            "{what} row `{label}`: SimResult drifted from its pinned golden \
              (digest 0x{hash:016x}, pinned 0x{want_hash:016x})"
         );
     }
@@ -147,7 +197,15 @@ fn default_engine_reproduces_pr6_fig_scheduler() {
     assert_matches_golden(&scheduler_digests(), &SCHEDULER_GOLDEN, "fig_scheduler");
 }
 
-/// Re-pinning helper: prints the two golden arrays in source form.
+/// Cost-free migrations, which land inline inside the capacity event
+/// rather than at a `MigrationComplete` event, reproduce their pinned
+/// results byte for byte.
+#[test]
+fn instant_migrations_reproduce_their_golden() {
+    assert_matches_golden(&instant_digests(), &INSTANT_GOLDEN, "instant migration");
+}
+
+/// Re-pinning helper: prints the three golden arrays in source form.
 #[test]
 #[ignore = "re-pinning helper, run with --ignored --nocapture"]
 fn print_current_digests() {
@@ -158,6 +216,11 @@ fn print_current_digests() {
     println!("];");
     println!("const SCHEDULER_GOLDEN: [(&str, u64); 27] = [");
     for (label, hash) in scheduler_digests() {
+        println!("    (\"{label}\", 0x{hash:016x}),");
+    }
+    println!("];");
+    println!("const INSTANT_GOLDEN: [(&str, u64); 2] = [");
+    for (label, hash) in instant_digests() {
         println!("    (\"{label}\", 0x{hash:016x}),");
     }
     println!("];");
