@@ -1,43 +1,47 @@
 //! Experiment scale presets.
 //!
 //! Every experiment can run at two scales: `Quick` (seconds, used by unit
-//! tests and Criterion iterations) and `Full` (the default for the
+//! tests and CI smoke runs) and `Full` (the default for the
 //! experiment binaries, sized like the paper's evaluation: a 10,000-VM
 //! trace for the cluster simulation, thousands of VMs for the feasibility
 //! analysis, minutes of simulated web traffic).
 
-use serde::{Deserialize, Serialize};
-
 /// Experiment size preset.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Scale {
-    /// Small inputs for fast iteration (tests, Criterion).
+    /// Small inputs for fast iteration (tests, CI smoke runs).
     Quick,
     /// Paper-sized inputs for the experiment binaries.
     Full,
 }
 
 impl Scale {
-    /// Parse from a CLI argument / environment variable value.
-    pub fn from_arg(arg: Option<&str>) -> Scale {
+    /// Parse from a CLI argument / environment variable value: `quick`
+    /// or `full` (either all lower or all upper case), with no value
+    /// meaning `Full`. Anything else is an error rather than a silent
+    /// `Full`, which would start a paper-sized run on a typo.
+    pub fn from_arg(arg: Option<&str>) -> Result<Scale, String> {
         match arg {
-            Some("full") | Some("FULL") => Scale::Full,
-            Some("quick") | Some("QUICK") => Scale::Quick,
-            _ => Scale::Full,
+            None | Some("full") | Some("FULL") => Ok(Scale::Full),
+            Some("quick") | Some("QUICK") => Ok(Scale::Quick),
+            Some(other) => Err(format!(
+                "unknown scale `{other}`: expected `quick` or `full`"
+            )),
         }
     }
 
     /// Scale selected for an experiment binary: the first CLI argument, or
-    /// the `DEFLATE_SCALE` environment variable, defaulting to `Full`.
+    /// the `DEFLATE_SCALE` environment variable, defaulting to `Full`. An
+    /// unknown value ends the process with exit status 2 and names the
+    /// two accepted ones.
     pub fn from_env_and_args() -> Scale {
-        let arg = std::env::args().nth(1);
-        if let Some(a) = arg.as_deref() {
-            return Scale::from_arg(Some(a));
-        }
-        match std::env::var("DEFLATE_SCALE") {
-            Ok(v) => Scale::from_arg(Some(v.as_str())),
-            Err(_) => Scale::Full,
-        }
+        let arg = std::env::args()
+            .nth(1)
+            .or_else(|| std::env::var("DEFLATE_SCALE").ok());
+        Scale::from_arg(arg.as_deref()).unwrap_or_else(|err| {
+            eprintln!("error: {err}");
+            std::process::exit(2)
+        })
     }
 
     /// Number of Azure VMs for the feasibility analysis (Figures 5–8).
@@ -122,10 +126,13 @@ mod tests {
 
     #[test]
     fn parsing() {
-        assert_eq!(Scale::from_arg(Some("quick")), Scale::Quick);
-        assert_eq!(Scale::from_arg(Some("full")), Scale::Full);
-        assert_eq!(Scale::from_arg(Some("bogus")), Scale::Full);
-        assert_eq!(Scale::from_arg(None), Scale::Full);
+        assert_eq!(Scale::from_arg(Some("quick")), Ok(Scale::Quick));
+        assert_eq!(Scale::from_arg(Some("QUICK")), Ok(Scale::Quick));
+        assert_eq!(Scale::from_arg(Some("full")), Ok(Scale::Full));
+        assert_eq!(Scale::from_arg(None), Ok(Scale::Full));
+        let err = Scale::from_arg(Some("bogus")).unwrap_err();
+        assert!(err.contains("`bogus`"), "{err}");
+        assert!(err.contains("`quick` or `full`"), "{err}");
     }
 
     #[test]

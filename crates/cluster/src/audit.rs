@@ -2,7 +2,7 @@
 //! observatory.
 //!
 //! An [`Auditor`] is built from an [`AuditSpec`] and consulted by the
-//! simulation engine **after every processed event**. Each enabled checker
+//! simulation engine **after every processed event**. Each checker
 //! re-derives an invariant the engine is supposed to maintain
 //! incrementally and reports the first violation as an
 //! [`AuditViolation`] naming the checker, the event id, the simulated
@@ -32,7 +32,7 @@
 //! # Contracts
 //!
 //! Auditing is **off by default** and the default path is golden-pinned.
-//! Checkers are strictly read-only: a run with every checker enabled is
+//! Checkers are strictly read-only: an audited run is
 //! bit-identical to the same run with auditing off (pinned by the
 //! determinism tests). The engine fails fast on the first violation —
 //! an invariant breach means every later number is untrustworthy.
@@ -85,7 +85,7 @@ impl std::fmt::Display for AuditViolation {
     }
 }
 
-/// Runs the enabled checkers after every engine event.
+/// Runs every checker after each engine event.
 #[derive(Debug, Clone)]
 pub struct Auditor {
     spec: AuditSpec,
@@ -97,7 +97,7 @@ pub struct Auditor {
 }
 
 impl Auditor {
-    /// An auditor running the checkers enabled in `spec`.
+    /// An auditor running every checker when `spec` is on.
     pub fn new(spec: AuditSpec) -> Self {
         Auditor {
             spec,
@@ -111,13 +111,13 @@ impl Auditor {
         self.spec
     }
 
-    /// True when no checker is enabled (the engine then skips the audit
-    /// call entirely).
+    /// True when auditing is off (the engine then skips the audit call
+    /// entirely).
     pub fn is_off(&self) -> bool {
         self.spec.is_off()
     }
 
-    /// Run the enabled checkers after one processed event. `event_id` is
+    /// Run every checker after one processed event. `event_id` is
     /// the engine's processed-event counter, `time_secs` the event's
     /// delivery time. Returns the first violation found, if any; the
     /// caller is expected to fail fast on it. Strictly read-only on the
@@ -129,6 +129,9 @@ impl Auditor {
         manager: &ClusterManager,
         autoscaler: Option<&Autoscaler>,
     ) -> Option<AuditViolation> {
+        if self.spec.is_off() {
+            return None;
+        }
         self.audited_events += 1;
         let stamp = |checker: &'static str, finding: AuditFinding| AuditViolation {
             checker,
@@ -137,63 +140,54 @@ impl Auditor {
             server: finding.server,
             detail: finding.detail,
         };
-        if self.spec.monotonicity {
-            if time_secs < self.last_event_secs {
-                return Some(AuditViolation {
-                    checker: "monotonicity",
-                    event_id,
-                    time_secs,
-                    server: None,
-                    detail: format!(
-                        "event time went backwards: t={:.6}s after t={:.6}s",
-                        time_secs, self.last_event_secs
-                    ),
-                });
-            }
-            self.last_event_secs = time_secs;
+        if time_secs < self.last_event_secs {
+            return Some(AuditViolation {
+                checker: "monotonicity",
+                event_id,
+                time_secs,
+                server: None,
+                detail: format!(
+                    "event time went backwards: t={:.6}s after t={:.6}s",
+                    time_secs, self.last_event_secs
+                ),
+            });
         }
-        if self.spec.capacity {
-            if let Err(finding) = manager.audit_capacity() {
-                return Some(stamp("capacity", finding));
-            }
+        self.last_event_secs = time_secs;
+        if let Err(finding) = manager.audit_capacity() {
+            return Some(stamp("capacity", finding));
         }
-        if self.spec.bandwidth_ledger {
-            if let Err(finding) = manager.audit_bandwidth_ledger(time_secs) {
-                return Some(stamp("bandwidth_ledger", finding));
-            }
+        if let Err(finding) = manager.audit_bandwidth_ledger(time_secs) {
+            return Some(stamp("bandwidth_ledger", finding));
         }
-        if self.spec.placement_index
-            && self
-                .audited_events
-                .is_multiple_of(self.spec.placement_sample_rate())
+        if self
+            .audited_events
+            .is_multiple_of(self.spec.placement_sample_rate())
         {
             if let Err(finding) = manager.audit_placement_index() {
                 return Some(stamp("placement_index", finding));
             }
         }
-        if self.spec.replica_ledger {
-            if let Some(autoscaler) = autoscaler {
-                let stats = autoscaler.stats();
-                let (active, parked) = autoscaler.live_replicas();
-                let accounted = stats.retirements + stats.replicas_lost + active + parked;
-                if stats.launches != accounted {
-                    return Some(AuditViolation {
-                        checker: "replica_ledger",
-                        event_id,
-                        time_secs,
-                        server: None,
-                        detail: format!(
-                            "replica ledger unbalanced: {} launched but {} accounted \
-                             ({} retired + {} lost + {} active + {} parked)",
-                            stats.launches,
-                            accounted,
-                            stats.retirements,
-                            stats.replicas_lost,
-                            active,
-                            parked
-                        ),
-                    });
-                }
+        if let Some(autoscaler) = autoscaler {
+            let stats = autoscaler.stats();
+            let (active, parked) = autoscaler.live_replicas();
+            let accounted = stats.retirements + stats.replicas_lost + active + parked;
+            if stats.launches != accounted {
+                return Some(AuditViolation {
+                    checker: "replica_ledger",
+                    event_id,
+                    time_secs,
+                    server: None,
+                    detail: format!(
+                        "replica ledger unbalanced: {} launched but {} accounted \
+                         ({} retired + {} lost + {} active + {} parked)",
+                        stats.launches,
+                        accounted,
+                        stats.retirements,
+                        stats.replicas_lost,
+                        active,
+                        parked
+                    ),
+                });
             }
         }
         None

@@ -110,8 +110,9 @@ pub mod spec;
 pub use audit::{AuditViolation, Auditor};
 pub use bisect::{bisect_divergence, first_divergent_field, DivergenceReport, SnapshotDiff};
 pub use manager::{
-    AdmissionCounters, CapacityChangeOutcome, ClusterConfig, ClusterManager, MigrationRecord,
-    PendingMigration, PlacementKind, PlacementResult, ReclamationMode, TransientCounters,
+    AdmissionCounters, CapacityChangeOutcome, ClusterConfig, ClusterManager, EngineConfig,
+    MigrationRecord, PendingMigration, PlacementKind, PlacementResult, ReclamationMode,
+    TransientCounters,
 };
 pub use metrics::{MigrationEvent, SimResult, VmOutcome, VmRecord};
 pub use placement::PlacementIndex;
@@ -126,8 +127,9 @@ pub mod prelude {
         bisect_divergence, first_divergent_field, DivergenceReport, SnapshotDiff,
     };
     pub use crate::manager::{
-        AdmissionCounters, CapacityChangeOutcome, ClusterConfig, ClusterManager, MigrationRecord,
-        PendingMigration, PlacementKind, PlacementResult, ReclamationMode, TransientCounters,
+        AdmissionCounters, CapacityChangeOutcome, ClusterConfig, ClusterManager, EngineConfig,
+        MigrationRecord, PendingMigration, PlacementKind, PlacementResult, ReclamationMode,
+        TransientCounters,
     };
     pub use crate::metrics::{MigrationEvent, SimResult, VmOutcome, VmRecord};
     pub use crate::scheduler::{SchedulerStats, TransferScheduler};

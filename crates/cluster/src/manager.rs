@@ -31,13 +31,13 @@
 //! its reservation occupies the destination. The default model is
 //! [`MigrationCostModel::instant`], which reproduces the historical
 //! free-migration behaviour; simulations opt into costed migration with
-//! [`ClusterManager::with_migration_cost`].
+//! [`EngineConfig::migration_cost`].
 //!
 //! # Transfer scheduling
 //!
 //! *Which* queued transfer gets the next bandwidth slot is decided by the
-//! global [`TransferScheduler`] (see [`crate::scheduler`]), configured via
-//! [`ClusterManager::with_transfer_policy`]. The default FIFO policy books
+//! global [`TransferScheduler`] (see [`crate::scheduler`]) under
+//! [`EngineConfig::transfer_policy`]. The default FIFO policy books
 //! slots in request order, bit-identical to the greedy booking that
 //! predated the scheduler; `SmallestFirst` and deadline-aware `Edf`
 //! reorder each capacity event's batch, and EDF additionally *rejects*
@@ -384,6 +384,39 @@ enum Attempt {
     Preempt,
 }
 
+/// The manager's reclamation knobs, each documented and defaulted once.
+/// [`ClusterManager`] and [`ClusterSimulation`](crate::ClusterSimulation)
+/// each hold one, and a simulation hands its copy to the manager it boots.
+/// Every default reproduces the engine as it was before the knob existed.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct EngineConfig {
+    /// How migrations are priced. The default,
+    /// [`MigrationCostModel::instant`], makes them free and immediate;
+    /// anything else makes a transfer take page-copy time, queue behind
+    /// per-server bandwidth budgets and race the reclamation deadline
+    /// (losing the race evicts the VM).
+    pub migration_cost: MigrationCostModel,
+    /// The order in which queued transfers get bandwidth slots. The
+    /// default, [`TransferPolicy::fifo`], books in request order;
+    /// `SmallestFirst` and `Edf` reorder each capacity event's batch, and
+    /// EDF also refuses transfers that provably cannot beat their
+    /// deadline. A snapshot does not carry it, so a fork may resume under
+    /// another one.
+    pub transfer_policy: TransferPolicy,
+    /// How residents are reinflated after a capacity restitution. The
+    /// default, [`RestorePolicy::greedy`], hands the whole returned room
+    /// back at once; hysteresis skips reinflation while the server's last
+    /// reclamation is recent, and spread-out reinflation returns only a
+    /// fraction of the room per restitution.
+    pub restore_policy: RestorePolicy,
+    /// How squeezed page caches regrow over simulated time. The default,
+    /// [`CacheRegrowthModel::disabled`], refills them only on usage
+    /// reports; with a positive rate a server's guests regrow ahead of
+    /// each capacity event, so repeated deflate-then-migrate squeezes are
+    /// no longer free.
+    pub cache_regrowth: CacheRegrowthModel,
+}
+
 /// The centralized cluster manager.
 pub struct ClusterManager {
     controllers: Vec<LocalController>,
@@ -391,7 +424,8 @@ pub struct ClusterManager {
     mechanism: DeflationMechanism,
     base_capacity: ResourceVector,
     mode: ReclamationMode,
-    cost_model: MigrationCostModel,
+    /// The reclamation knobs.
+    engine: EngineConfig,
     vm_location: HashMap<VmId, usize>,
     /// First server each migrated VM ran on, for migrate-back after a
     /// capacity restitution.
@@ -401,23 +435,15 @@ pub struct ClusterManager {
     /// Reverse index: which migration a VM is currently part of.
     in_flight_by_vm: HashMap<VmId, u64>,
     next_migration_id: u64,
-    /// Global bandwidth-slot scheduler (owns the per-server ledgers and the
-    /// ordering policy).
+    /// Global bandwidth-slot scheduler: the per-server ledgers, booked
+    /// under [`EngineConfig::transfer_policy`].
     scheduler: TransferScheduler,
     /// Transfers selected but not yet booked, within the current capacity
     /// event only (always empty between manager calls).
     staged: Vec<StagedTransfer>,
-    /// How residents are reinflated after capacity restitutions
-    /// (hysteresis / spread-out; the greedy default is bit-identical to
-    /// the pre-knob behaviour).
-    restore_policy: RestorePolicy,
     /// Per-server time of the last capacity reclamation, for the restore
     /// policy's hysteresis window (`-∞` before the first reclaim).
     last_reclaim_secs: Vec<f64>,
-    /// Time-based page-cache regrowth model applied to a server's guests
-    /// ahead of each capacity event (disabled by default — caches then
-    /// only refill on usage reports, the historical behaviour).
-    cache_regrowth: CacheRegrowthModel,
     counters: AdmissionCounters,
     transient: TransientCounters,
     /// Observability sink (disabled by default): placement-ranking and
@@ -483,17 +509,15 @@ impl ClusterManager {
             mechanism: config.mechanism,
             base_capacity: config.server_capacity,
             mode,
-            cost_model: MigrationCostModel::instant(),
+            engine: EngineConfig::default(),
             vm_location: HashMap::new(),
             migration_origin: HashMap::new(),
             in_flight: HashMap::new(),
             in_flight_by_vm: HashMap::new(),
             next_migration_id: 0,
-            scheduler: TransferScheduler::new(config.num_servers, TransferPolicy::default()),
+            scheduler: TransferScheduler::new(config.num_servers),
             staged: Vec::new(),
-            restore_policy: RestorePolicy::default(),
             last_reclaim_secs: vec![f64::NEG_INFINITY; config.num_servers],
-            cache_regrowth: CacheRegrowthModel::default(),
             counters: AdmissionCounters::default(),
             transient: TransientCounters::default(),
             telemetry: TelemetrySink::disabled(),
@@ -515,6 +539,41 @@ impl ClusterManager {
     /// Kept only because `perfbench/` names it; the value is ignored.
     pub fn with_placement_engine(self, _engine: PlacementEngine) -> Self {
         self
+    }
+
+    /// Replace every reclamation knob at once; see [`EngineConfig`].
+    pub fn with_engine_config(mut self, engine: EngineConfig) -> Self {
+        self.engine = engine;
+        self
+    }
+
+    /// Sets [`EngineConfig::migration_cost`].
+    pub fn with_migration_cost(mut self, model: MigrationCostModel) -> Self {
+        self.engine.migration_cost = model;
+        self
+    }
+
+    /// Sets [`EngineConfig::transfer_policy`].
+    pub fn with_transfer_policy(mut self, policy: TransferPolicy) -> Self {
+        self.engine.transfer_policy = policy;
+        self
+    }
+
+    /// Sets [`EngineConfig::restore_policy`].
+    pub fn with_restore_policy(mut self, policy: RestorePolicy) -> Self {
+        self.engine.restore_policy = policy;
+        self
+    }
+
+    /// Sets [`EngineConfig::cache_regrowth`].
+    pub fn with_cache_regrowth(mut self, model: CacheRegrowthModel) -> Self {
+        self.engine.cache_regrowth = model;
+        self
+    }
+
+    /// The migration cost model in effect.
+    pub fn migration_cost(&self) -> MigrationCostModel {
+        self.engine.migration_cost
     }
 
     /// Queue server `idx`'s cached placement view for re-derivation.
@@ -543,71 +602,6 @@ impl ClusterManager {
         self.index
             .refresh(&self.telemetry, |i| controllers[i].server().view());
         self.index.rank(self.placement.as_ref(), vm, excluded)
-    }
-
-    /// Builder-style restore-policy override. The default is
-    /// [`RestorePolicy::greedy`] — every restitution immediately
-    /// reinflates residents into the whole returned room, bit-identical
-    /// to the behaviour before the knob existed. Hysteresis skips
-    /// reinflation while the server's last reclamation is recent;
-    /// spread-out reinflation hands back only a fraction of the room per
-    /// restitution.
-    pub fn with_restore_policy(mut self, policy: RestorePolicy) -> Self {
-        self.restore_policy = policy;
-        self
-    }
-
-    /// The restore policy in effect.
-    pub fn restore_policy(&self) -> RestorePolicy {
-        self.restore_policy
-    }
-
-    /// Builder-style cache-regrowth override. The default is
-    /// [`CacheRegrowthModel::disabled`] — squeezed page caches refill
-    /// only on usage reports, bit-identical to the behaviour before the
-    /// model existed. With a positive rate, a server's guests regrow
-    /// their caches over simulated time ahead of each capacity event, so
-    /// repeated deflate-then-migrate squeezes are no longer free.
-    pub fn with_cache_regrowth(mut self, model: CacheRegrowthModel) -> Self {
-        self.cache_regrowth = model;
-        self
-    }
-
-    /// The cache-regrowth model in effect.
-    pub fn cache_regrowth(&self) -> CacheRegrowthModel {
-        self.cache_regrowth
-    }
-
-    /// Builder-style migration cost model override. The default is
-    /// [`MigrationCostModel::instant`] (free, immediate migrations — the
-    /// historical behaviour); anything else makes migrations take
-    /// page-transfer time, respect per-server bandwidth budgets and race
-    /// the reclamation deadline.
-    pub fn with_migration_cost(mut self, model: MigrationCostModel) -> Self {
-        self.cost_model = model;
-        self
-    }
-
-    /// The migration cost model in effect.
-    pub fn migration_cost(&self) -> MigrationCostModel {
-        self.cost_model
-    }
-
-    /// Builder-style transfer-scheduling policy override. The default is
-    /// [`TransferPolicy::fifo`] — greedy request-order booking, bit-identical
-    /// to the behaviour before the scheduler existed. `SmallestFirst` and
-    /// `Edf` reorder each capacity event's transfer batch; EDF additionally
-    /// refuses transfers that provably cannot beat their deadline. Must be
-    /// applied before the first capacity event (it resets the scheduler's
-    /// bandwidth ledgers).
-    pub fn with_transfer_policy(mut self, policy: TransferPolicy) -> Self {
-        self.scheduler = TransferScheduler::new(self.controllers.len(), policy);
-        self
-    }
-
-    /// The transfer-scheduling policy in effect.
-    pub fn transfer_policy(&self) -> TransferPolicy {
-        self.scheduler.policy()
     }
 
     /// Scheduler accounting: slots booked, EDF rejections, queueing delay.
@@ -958,18 +952,20 @@ impl ClusterManager {
         // view; re-mark (deduped) so the reinflation below is covered even
         // if a future caller skips the capacity change.
         self.mark_server_dirty(idx);
-        if now_secs - self.last_reclaim_secs[idx] < self.restore_policy.hysteresis_secs {
+        if now_secs - self.last_reclaim_secs[idx] < self.engine.restore_policy.hysteresis_secs {
             return;
         }
-        if self.restore_policy.step_fraction >= 1.0 {
+        if self.engine.restore_policy.step_fraction >= 1.0 {
             self.reinflate_if_fits(idx);
         } else if self.controllers[idx]
             .server()
             .check_capacity_invariant()
             .is_ok()
         {
-            self.controllers[idx]
-                .reinflate_partial(self.restore_policy.step_fraction, &mut self.plan_scratch);
+            self.controllers[idx].reinflate_partial(
+                self.engine.restore_policy.step_fraction,
+                &mut self.plan_scratch,
+            );
         }
     }
 
@@ -979,10 +975,10 @@ impl ClusterManager {
     /// squeeze. A no-op (and bit-identical to the pre-model behaviour)
     /// while the model is disabled.
     fn advance_caches_on(&mut self, idx: usize, now_secs: f64) {
-        if !self.cache_regrowth.is_enabled() {
+        let model = self.engine.cache_regrowth;
+        if !model.is_enabled() {
             return;
         }
-        let model = self.cache_regrowth;
         for domain in self.controllers[idx].server_mut().domains_mut() {
             domain.advance_cache_regrowth(now_secs, model);
         }
@@ -1004,7 +1000,7 @@ impl ClusterManager {
         if self.fits_with_pending(idx) {
             return;
         }
-        let deadline = now_secs + self.cost_model.reclaim_deadline_secs.max(0.0);
+        let deadline = now_secs + self.engine.migration_cost.reclaim_deadline_secs.max(0.0);
         match self.mode.clone() {
             ReclamationMode::Deflation(_) => {
                 let remaining = self.controllers[idx].deflate_into_capacity(&mut self.plan_scratch);
@@ -1097,8 +1093,8 @@ impl ClusterManager {
                     continue;
                 }
                 let spec = domain.spec.clone();
-                let duration = self.cost_model.transfer_secs(domain);
-                let volume = self.cost_model.transfer_volume_mb(domain);
+                let duration = self.engine.migration_cost.transfer_secs(domain);
+                let volume = self.engine.migration_cost.transfer_volume_mb(domain);
                 // Only move back when the VM fits its origin at full size —
                 // a migrate-back must never force new deflation — and when
                 // the cost model allows a transfer at all.
@@ -1179,7 +1175,7 @@ impl ClusterManager {
     ) {
         let source_id = self.controllers[source].server().id;
         let deflate_first =
-            self.scheduler.policy().deflate_then_migrate && attempt == Attempt::Deflate;
+            self.engine.transfer_policy.deflate_then_migrate && attempt == Attempt::Deflate;
         let mut attempted: Vec<VmId> = Vec::new();
         loop {
             if self.fits_with_pending(source) {
@@ -1235,8 +1231,8 @@ impl ClusterManager {
                 self.controllers[source].server().domain(vm).map(|d| {
                     (
                         d.spec.clone(),
-                        self.cost_model.transfer_secs(d),
-                        self.cost_model.transfer_volume_mb(d),
+                        self.engine.migration_cost.transfer_secs(d),
+                        self.engine.migration_cost.transfer_volume_mb(d),
                     )
                 })
             else {
@@ -1346,8 +1342,10 @@ impl ClusterManager {
                 deadline_secs: s.deadline_secs,
             })
             .collect();
-        let slots = self.cost_model.concurrent_slots();
-        let decisions = self.scheduler.book_batch(&requests, now_secs, slots);
+        let slots = self.engine.migration_cost.concurrent_slots();
+        let decisions =
+            self.scheduler
+                .book_batch(self.engine.transfer_policy, &requests, now_secs, slots);
         for (s, decision) in staged.into_iter().zip(decisions) {
             match decision {
                 TransferDecision::Booked {
@@ -1702,7 +1700,7 @@ impl ClusterManager {
         &self,
         now_secs: f64,
     ) -> std::result::Result<(), AuditFinding> {
-        if self.cost_model.concurrent_slots() == usize::MAX {
+        if self.engine.migration_cost.concurrent_slots() == usize::MAX {
             return Ok(());
         }
         // Group required reservation end times per endpoint. Sorted-order
@@ -2261,7 +2259,6 @@ mod tests {
     fn restore_hysteresis_defers_reinflation_after_a_recent_reclaim() {
         let policy = RestorePolicy::hysteresis(60.0);
         let mut cluster = small_cluster(deflation_mode()).with_restore_policy(policy);
-        assert_eq!(cluster.restore_policy(), policy);
         for i in 0..4 {
             assert!(cluster.place_vm(vm(i, 8.0, 0.5)).is_placed());
         }
@@ -2802,6 +2799,43 @@ mod tests {
         assert_eq!(outcome.started.len(), 1);
         // Idle: 4096/100 = 40.96 s; busy: ×2.
         assert!((outcome.started[0].event_secs - 81.92).abs() < 1e-9);
+        assert!(cluster.check_invariants());
+    }
+
+    // A cost-free forward move lands inline, inside the reclaim ladder:
+    // the destination domain must still carry the source guest's memory
+    // state and utilisation history, as a costed landing does.
+    #[test]
+    fn instant_landing_carries_guest_state() {
+        let mut cluster = small_cluster(ReclamationMode::MigrationOnly);
+        assert!(cluster.place_vm(vm(1, 4.0, 0.5)).is_placed());
+        let from = cluster.locate(VmId(1)).unwrap();
+        let source = cluster.server_index(from);
+        let domain = cluster.controllers[source]
+            .server_mut()
+            .domain_mut(VmId(1))
+            .unwrap();
+        // A state no freshly booted domain has: non-default RSS and page
+        // cache, and a non-empty utilisation history.
+        domain.guest.report_usage(3_000.0, 1_500.0, 0.4);
+        domain.observe_cpu_utilization(0.3);
+        domain.observe_cpu_utilization(0.9);
+        let before = domain.clone();
+
+        let outcome = cluster.reclaim_capacity(from, 0.0, 0.0);
+        assert!(outcome.started.is_empty());
+        assert_eq!(outcome.migrated.len(), 1);
+        assert_eq!(outcome.migrated[0].duration_secs, 0.0);
+        let to = cluster.locate(VmId(1)).unwrap();
+        assert_ne!(to, from);
+        let landed = cluster.controllers[cluster.server_index(to)]
+            .server()
+            .domain(VmId(1))
+            .unwrap();
+        assert_eq!(landed.guest.rss_mb(), 3_000.0);
+        assert_eq!(landed.guest.page_cache_mb(), 1_500.0);
+        assert_eq!(landed.guest, before.guest);
+        assert_eq!(landed.recent_cpu_utilization(), 0.6);
         assert!(cluster.check_invariants());
     }
 

@@ -98,7 +98,6 @@ impl SchedulerStats {
 /// Global deadline-aware scheduler for migration-bandwidth slots.
 #[derive(Debug, Clone)]
 pub struct TransferScheduler {
-    policy: TransferPolicy,
     /// Per-server ledger: end times of transfers holding one link worth of
     /// that server's budget.
     reservations: Vec<Vec<f64>>,
@@ -106,18 +105,12 @@ pub struct TransferScheduler {
 }
 
 impl TransferScheduler {
-    /// A scheduler for `num_servers` servers under the given policy.
-    pub fn new(num_servers: usize, policy: TransferPolicy) -> Self {
+    /// A scheduler for `num_servers` servers with empty ledgers.
+    pub fn new(num_servers: usize) -> Self {
         TransferScheduler {
-            policy,
             reservations: vec![Vec::new(); num_servers],
             stats: SchedulerStats::default(),
         }
-    }
-
-    /// The policy in effect.
-    pub fn policy(&self) -> TransferPolicy {
-        self.policy
     }
 
     /// Accounting so far.
@@ -155,9 +148,9 @@ impl TransferScheduler {
 
     /// The scheduler's snapshot schema: its *dynamic* state — the
     /// per-server reservation ledgers and the accumulated stats. The
-    /// policy is deliberately not visited: it is configuration, supplied
-    /// again on restore, which is what lets a fork resume the same
-    /// in-flight ledgers under a *different* [`TransferPolicy`].
+    /// policy is not part of it: the caller passes its configured policy
+    /// to every batch, which is what lets a fork resume the same in-flight
+    /// ledgers under a *different* [`TransferPolicy`].
     pub fn visit_state(&mut self, v: &mut impl StateVisitor) -> CheckpointResult<()> {
         v.seq("ledger", &mut self.reservations, 8, |v, ledger| {
             v.f64s("", ledger)
@@ -171,17 +164,18 @@ impl TransferScheduler {
     }
 
     /// Book one decision batch: grant (or refuse) a slot to every request,
-    /// visiting them in policy order, and return the decisions indexed
+    /// visiting them in `policy` order, and return the decisions indexed
     /// like `requests`. `slots` is the per-server concurrent-transfer
     /// budget (`usize::MAX` = unlimited).
     pub fn book_batch(
         &mut self,
+        policy: TransferPolicy,
         requests: &[TransferRequest],
         now_secs: f64,
         slots: usize,
     ) -> Vec<TransferDecision> {
         let mut order: Vec<usize> = (0..requests.len()).collect();
-        match self.policy.ordering {
+        match policy.ordering {
             TransferOrdering::Fifo => {}
             TransferOrdering::SmallestFirst => order.sort_by(|&a, &b| {
                 requests[a]
@@ -202,7 +196,7 @@ impl TransferScheduler {
             let start = self
                 .earliest_slot(req.source, now_secs, slots)
                 .max(self.earliest_slot(req.dest, now_secs, slots));
-            if self.policy.ordering == TransferOrdering::Edf
+            if policy.ordering == TransferOrdering::Edf
                 && start + req.duration_secs > req.deadline_secs
             {
                 self.stats.rejected += 1;
@@ -285,13 +279,13 @@ mod tests {
 
     #[test]
     fn fifo_books_in_request_order() {
-        let mut s = TransferScheduler::new(3, TransferPolicy::fifo());
+        let mut s = TransferScheduler::new(3);
         // Two transfers off server 0, one slot each: the second queues.
         let batch = [
             req(1, 0, 1, 10.0, 1000.0, f64::INFINITY),
             req(2, 0, 2, 5.0, 500.0, f64::INFINITY),
         ];
-        let d = s.book_batch(&batch, 100.0, 1);
+        let d = s.book_batch(TransferPolicy::fifo(), &batch, 100.0, 1);
         assert_eq!(starts(&d), vec![100.0, 110.0]);
         assert_eq!(s.stats().booked, 2);
         assert_eq!(s.stats().rejected, 0);
@@ -301,26 +295,26 @@ mod tests {
 
     #[test]
     fn smallest_first_lets_short_copies_jump_the_queue() {
-        let mut s = TransferScheduler::new(3, TransferPolicy::smallest_first());
+        let mut s = TransferScheduler::new(3);
         let batch = [
             req(1, 0, 1, 10.0, 1000.0, f64::INFINITY),
             req(2, 0, 2, 5.0, 500.0, f64::INFINITY),
         ];
-        let d = s.book_batch(&batch, 0.0, 1);
+        let d = s.book_batch(TransferPolicy::smallest_first(), &batch, 0.0, 1);
         // The small transfer goes first now.
         assert_eq!(starts(&d), vec![5.0, 0.0]);
     }
 
     #[test]
     fn edf_rejects_provably_late_transfers() {
-        let mut s = TransferScheduler::new(3, TransferPolicy::edf());
+        let mut s = TransferScheduler::new(3);
         // Deadline 12 s out, one slot: the first copy (10 s) fits, the
         // second would start at 10 and needs 10 more — provably late.
         let batch = [
             req(1, 0, 1, 10.0, 1000.0, 12.0),
             req(2, 0, 2, 10.0, 1000.0, 12.0),
         ];
-        let d = s.book_batch(&batch, 0.0, 1);
+        let d = s.book_batch(TransferPolicy::edf(), &batch, 0.0, 1);
         assert_eq!(
             d,
             vec![
@@ -334,37 +328,58 @@ mod tests {
         assert_eq!(s.stats().rejected, 1);
         // The rejected transfer reserved nothing: a later request starts
         // right after the booked one, not after a phantom reservation.
-        let later = s.book_batch(&[req(3, 0, 1, 1.0, 100.0, f64::INFINITY)], 0.0, 1);
+        let later = s.book_batch(
+            TransferPolicy::edf(),
+            &[req(3, 0, 1, 1.0, 100.0, f64::INFINITY)],
+            0.0,
+            1,
+        );
         assert_eq!(starts(&later), vec![10.0]);
     }
 
     #[test]
     fn edf_orders_by_deadline_across_a_batch() {
-        let mut s = TransferScheduler::new(2, TransferPolicy::edf());
+        let mut s = TransferScheduler::new(2);
         // The urgent transfer is requested *second* but booked first.
         let batch = [
             req(1, 0, 1, 4.0, 400.0, 100.0),
             req(2, 0, 1, 4.0, 400.0, 10.0),
         ];
-        let d = s.book_batch(&batch, 0.0, 1);
+        let d = s.book_batch(TransferPolicy::edf(), &batch, 0.0, 1);
         assert_eq!(starts(&d), vec![4.0, 0.0]);
         // Infinite deadlines (migrate-backs) are always admitted, last.
-        let back = s.book_batch(&[req(3, 0, 1, 2.0, 200.0, f64::INFINITY)], 0.0, 1);
+        let back = s.book_batch(
+            TransferPolicy::edf(),
+            &[req(3, 0, 1, 2.0, 200.0, f64::INFINITY)],
+            0.0,
+            1,
+        );
         assert_eq!(starts(&back), vec![8.0]);
         assert_eq!(s.stats().rejected, 0);
     }
 
     #[test]
     fn bookings_persist_across_batches_and_unlimited_budgets_never_queue() {
-        let mut s = TransferScheduler::new(2, TransferPolicy::fifo());
-        let first = s.book_batch(&[req(1, 0, 1, 10.0, 1000.0, f64::INFINITY)], 0.0, 1);
+        let mut s = TransferScheduler::new(2);
+        let first = s.book_batch(
+            TransferPolicy::fifo(),
+            &[req(1, 0, 1, 10.0, 1000.0, f64::INFINITY)],
+            0.0,
+            1,
+        );
         assert_eq!(starts(&first), vec![0.0]);
         // A later batch queues behind the in-flight transfer…
-        let second = s.book_batch(&[req(2, 0, 1, 1.0, 100.0, f64::INFINITY)], 5.0, 1);
+        let second = s.book_batch(
+            TransferPolicy::fifo(),
+            &[req(2, 0, 1, 1.0, 100.0, f64::INFINITY)],
+            5.0,
+            1,
+        );
         assert_eq!(starts(&second), vec![10.0]);
         // …but an unlimited budget never queues anything.
-        let mut open = TransferScheduler::new(2, TransferPolicy::fifo());
+        let mut open = TransferScheduler::new(2);
         let d = open.book_batch(
+            TransferPolicy::fifo(),
             &[
                 req(1, 0, 1, 10.0, 1000.0, f64::INFINITY),
                 req(2, 0, 1, 10.0, 1000.0, f64::INFINITY),

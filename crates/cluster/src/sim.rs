@@ -37,7 +37,10 @@
 //! the call.
 
 use crate::audit::Auditor;
-use crate::manager::{ClusterConfig, ClusterManager, PlacementResult, ReclamationMode};
+use crate::manager::{
+    CapacityChangeOutcome, ClusterConfig, ClusterManager, EngineConfig, PlacementResult,
+    ReclamationMode,
+};
 use crate::metrics::{MigrationEvent, RunStats, SimResult, VmOutcome, VmRecord};
 use crate::spec::WorkloadVm;
 use deflate_autoscale::{Autoscaler, ElasticApp};
@@ -49,7 +52,7 @@ use deflate_core::placement::PlacementEngine;
 use deflate_core::policy::{AutoscalePolicy, RestorePolicy, TransferPolicy};
 use deflate_core::shard::ShardConfig;
 use deflate_core::telemetry::TelemetrySpec;
-use deflate_core::vm::VmId;
+use deflate_core::vm::{ServerId, VmId};
 use deflate_hypervisor::domain::CacheRegrowthModel;
 use deflate_hypervisor::migration::MigrationCostModel;
 use deflate_telemetry::{EventField, MemoryLedger, Phase, TelemetryEventKind, TelemetrySink};
@@ -64,10 +67,7 @@ pub struct ClusterSimulation {
     schedule: CapacitySchedule,
     utilization_tick_secs: Option<f64>,
     migrate_back: bool,
-    migration_cost: MigrationCostModel,
-    transfer_policy: TransferPolicy,
-    restore_policy: RestorePolicy,
-    cache_regrowth: CacheRegrowthModel,
+    engine: EngineConfig,
     autoscale_policy: AutoscalePolicy,
     elastic_apps: Vec<ElasticApp>,
     telemetry: TelemetrySink,
@@ -90,8 +90,8 @@ struct EngineState {
     migrations: Vec<MigrationEvent>,
     utilization: Vec<(f64, f64)>,
     events_processed: u64,
-    /// The online invariant auditor, present only when an [`AuditSpec`]
-    /// enables at least one checker. Pure observer: never serialized into
+    /// The online invariant auditor, present only when the [`AuditSpec`]
+    /// is on. Pure observer: never serialized into
     /// snapshots, never consulted by any decision path.
     auditor: Option<Auditor>,
 }
@@ -178,6 +178,127 @@ impl EngineState {
         }
         Ok(())
     }
+
+    /// Refresh every running VM's recent-utilisation sample from its trace
+    /// ahead of a capacity event, so the migration cost model estimates
+    /// transfers from current behaviour rather than boot-time idleness.
+    /// Only consequential — and only paid for — when a dirty-rate model
+    /// is active: without one the samples could never influence an
+    /// estimate, so the O(workload) pass is skipped.
+    fn observe_utilizations(&mut self, workload: &[WorkloadVm], time: f64) {
+        if self.manager.migration_cost().dirty_rate_mbps <= 0.0 {
+            return;
+        }
+        for (vm, _) in workload.iter().zip(&self.running).filter(|(_, &run)| run) {
+            self.manager
+                .observe_vm_utilization(vm.spec.id, vm.cpu_util.at(time - vm.arrival_secs));
+        }
+    }
+
+    /// Fold a capacity-change outcome into the per-VM bookkeeping: evicted
+    /// VMs stop running, completed migrations are logged with their
+    /// transfer cost, newly started transfers get a `MigrationComplete`
+    /// event scheduled, and allocation histories of every touched server
+    /// are brought up to date. Victims outside the workload are elastic
+    /// replicas — they have no record, but the autoscaler must drop them
+    /// from its pool (and count the loss).
+    fn apply_capacity_outcome(&mut self, outcome: &CapacityChangeOutcome, time: f64) {
+        for &victim in &outcome.victims {
+            if let Some(&vi) = self.index_of.get(&victim) {
+                self.records[vi].outcome = VmOutcome::Evicted { at_secs: time };
+                self.running[vi] = false;
+            } else if let Some(autoscaler) = self.autoscaler.as_mut() {
+                autoscaler.on_replica_evicted(victim);
+            }
+        }
+        for migration in &outcome.migrated {
+            self.migrations.push(MigrationEvent {
+                time_secs: time,
+                vm: migration.vm,
+                from: migration.from,
+                to: migration.to,
+                duration_secs: migration.duration_secs,
+                volume_mb: migration.volume_mb,
+                back: migration.back,
+            });
+        }
+        for started in &outcome.started {
+            self.queue.push(
+                started.event_secs,
+                SimEvent::MigrationComplete {
+                    migration: started.id,
+                },
+            );
+        }
+        for &server in &outcome.touched {
+            self.record_allocations(server, time);
+        }
+    }
+
+    /// Append allocation change-points for every VM on the touched server
+    /// whose CPU fraction changed since the last recorded value.
+    fn record_allocations(&mut self, server: ServerId, time: f64) {
+        self.manager
+            .for_each_allocation_fraction_on(server, |vm, fraction| {
+                let Some(&i) = self.index_of.get(&vm) else {
+                    return;
+                };
+                if !self.running[i] {
+                    return;
+                }
+                let history = &mut self.records[i].allocation_history;
+                match history.last() {
+                    Some(&(_, last)) if (last - fraction).abs() < 1e-9 => {}
+                    _ => history.push((time, fraction)),
+                }
+            });
+    }
+
+    /// Publish the per-subsystem memory ledger into the telemetry metrics
+    /// registry: one deterministic `mem.<subsystem>` byte gauge per owner
+    /// (see [`MemoryLedger`]) plus `mem.accounted_total`, and alongside
+    /// them the live `mem.rss_kib` VmRSS reading — the OS-level ground
+    /// truth the accounted gauges are compared against by `fig_memory`
+    /// (absent off Linux). Caller guards on `telemetry.enabled()`.
+    fn publish_memory(&self, workload: &[WorkloadVm], telemetry: &TelemetrySink) {
+        use deflate_core::mem::{map_entry_bytes, vec_bytes};
+        use std::mem::size_of;
+        let mut ledger = MemoryLedger::new();
+        // The sink's own footprint first, measured before this publish
+        // grows the registry with the `mem.*` entries themselves.
+        ledger.record("telemetry", telemetry.accounted_bytes());
+        self.manager.record_memory(&mut ledger);
+        ledger.record("event_queue", self.queue.accounted_bytes());
+        ledger.record(
+            "vm_records",
+            vec_bytes(&self.records)
+                + self
+                    .records
+                    .iter()
+                    .map(VmRecord::accounted_bytes)
+                    .sum::<u64>()
+                + vec_bytes(&self.running)
+                + self.index_of.len() as u64
+                    * map_entry_bytes(size_of::<VmId>(), size_of::<usize>()),
+        );
+        ledger.record(
+            "workload",
+            vec_bytes(workload)
+                + workload
+                    .iter()
+                    .map(WorkloadVm::accounted_bytes)
+                    .sum::<u64>(),
+        );
+        ledger.record("migration_log", vec_bytes(&self.migrations));
+        ledger.record("utilization", vec_bytes(&self.utilization));
+        if let Some(autoscaler) = &self.autoscaler {
+            ledger.record("autoscaler", autoscaler.accounted_bytes());
+        }
+        ledger.publish(telemetry);
+        if let Some(rss) = deflate_telemetry::rss_kib() {
+            telemetry.gauge_set("mem.rss_kib", rss);
+        }
+    }
 }
 
 /// The smallest snapshot encoding of one VM's record: running flag,
@@ -263,10 +384,7 @@ impl ClusterSimulation {
             schedule: CapacitySchedule::empty(),
             utilization_tick_secs: None,
             migrate_back: false,
-            migration_cost: MigrationCostModel::instant(),
-            transfer_policy: TransferPolicy::default(),
-            restore_policy: RestorePolicy::default(),
-            cache_regrowth: CacheRegrowthModel::default(),
+            engine: EngineConfig::default(),
             autoscale_policy: AutoscalePolicy::default(),
             elastic_apps: Vec::new(),
             telemetry: TelemetrySink::disabled(),
@@ -274,12 +392,12 @@ impl ClusterSimulation {
         }
     }
 
-    /// Run the online invariant auditor with the given [`AuditSpec`]: the
-    /// enabled checkers re-verify engine invariants after **every**
-    /// processed event and fail fast (with a diagnostic naming the
-    /// checker, event id, time and server) on the first violation. Off by
-    /// default — and strictly observational when on: a run with every
-    /// checker enabled is bit-identical to a run with auditing off
+    /// Run the online invariant auditor with the given [`AuditSpec`]: when
+    /// it is on, every checker re-verifies engine invariants after
+    /// **every** processed event and fails fast (with a diagnostic naming
+    /// the checker, event id, time and server) on the first violation. Off
+    /// by default — and strictly observational when on: an audited run is
+    /// bit-identical to a run with auditing off
     /// (pinned by `tests/telemetry_determinism.rs`). See
     /// [`Auditor`] documentation.
     pub fn with_audit(mut self, spec: AuditSpec) -> Self {
@@ -320,39 +438,27 @@ impl ClusterSimulation {
         self
     }
 
-    /// Charge migrations with the given cost model: transfers take
-    /// page-copy time, queue behind per-server bandwidth budgets and race
-    /// the reclamation deadline (losing the race evicts the VM).
+    /// Sets [`EngineConfig::migration_cost`].
     pub fn with_migration_cost(mut self, model: MigrationCostModel) -> Self {
-        self.migration_cost = model;
+        self.engine.migration_cost = model;
         self
     }
 
-    /// Schedule migration-bandwidth slots under the given policy: FIFO
-    /// (the default — bit-identical to the pre-scheduler greedy booking),
-    /// smallest-transfer-first, or deadline-aware EDF with admission
-    /// control. See [`TransferPolicy`].
+    /// Sets [`EngineConfig::transfer_policy`].
     pub fn with_transfer_policy(mut self, policy: TransferPolicy) -> Self {
-        self.transfer_policy = policy;
+        self.engine.transfer_policy = policy;
         self
     }
 
-    /// Reinflate residents after capacity restitutions under the given
-    /// [`RestorePolicy`]: the greedy default hands the whole returned room
-    /// back immediately (bit-identical to the pre-knob behaviour);
-    /// hysteresis and spread-out variants damp the response to
-    /// fast-oscillating capacity signals.
+    /// Sets [`EngineConfig::restore_policy`].
     pub fn with_restore_policy(mut self, policy: RestorePolicy) -> Self {
-        self.restore_policy = policy;
+        self.engine.restore_policy = policy;
         self
     }
 
-    /// Regrow squeezed page caches over simulated time with the given
-    /// model (default: disabled — caches refill only on usage reports).
-    /// With a positive rate, repeated deflate-then-migrate squeezes of the
-    /// same guest are no longer free.
+    /// Sets [`EngineConfig::cache_regrowth`].
     pub fn with_cache_regrowth(mut self, model: CacheRegrowthModel) -> Self {
-        self.cache_regrowth = model;
+        self.engine.cache_regrowth = model;
         self
     }
 
@@ -495,10 +601,7 @@ impl ClusterSimulation {
     /// snapshot restores over.
     fn boot(&self, workload: &[WorkloadVm]) -> EngineState {
         let manager = ClusterManager::new(&self.config, self.mode.clone())
-            .with_migration_cost(self.migration_cost)
-            .with_transfer_policy(self.transfer_policy)
-            .with_restore_policy(self.restore_policy)
-            .with_cache_regrowth(self.cache_regrowth)
+            .with_engine_config(self.engine)
             .with_telemetry(self.telemetry.clone());
         // The autoscaler exists only for enabled policies: a Disabled run
         // schedules no scale events and touches no autoscaler state, so it
@@ -587,21 +690,9 @@ impl ClusterSimulation {
     /// event **after** that time, leaving it queued — an event boundary a
     /// checkpoint can serialize; `None` drains the queue.
     fn drive(&self, workload: &[WorkloadVm], state: &mut EngineState, stop_secs: Option<f64>) {
-        let EngineState {
-            manager,
-            autoscaler,
-            queue,
-            index_of,
-            records,
-            running,
-            migrations,
-            utilization,
-            events_processed,
-            auditor,
-        } = state;
         loop {
             if let Some(stop) = stop_secs {
-                match queue.peek_time() {
+                match state.queue.peek_time() {
                     Some(time) if time <= stop => {}
                     _ => break,
                 }
@@ -609,16 +700,16 @@ impl ClusterSimulation {
             // Time the heap pop separately from the event handlers it feeds.
             let popped = {
                 let _pop = self.telemetry.span(Phase::QueuePop);
-                queue.pop()
+                state.queue.pop()
             };
             let Some((time, event)) = popped else { break };
-            *events_processed += 1;
+            state.events_processed += 1;
             match event {
                 SimEvent::Arrival(i) => {
                     let _span = self.telemetry.span(Phase::Arrival);
                     // PlacementRank nests inside place_vm and is
                     // subtracted from this span's self time.
-                    let result = manager.place_vm(workload[i].spec.clone());
+                    let result = state.manager.place_vm(workload[i].spec.clone());
                     if self.telemetry.wants(TelemetryEventKind::Arrival) {
                         let outcome = match &result {
                             PlacementResult::Rejected => "rejected",
@@ -639,20 +730,21 @@ impl ClusterSimulation {
                     }
                     let touched_server = match result {
                         PlacementResult::Rejected => {
-                            records[i].outcome = VmOutcome::Rejected;
+                            state.records[i].outcome = VmOutcome::Rejected;
                             None
                         }
                         PlacementResult::PlacedWithPreemption {
                             server,
                             ref preempted,
                         } => {
-                            records[i].outcome = VmOutcome::Completed;
-                            running[i] = true;
+                            state.records[i].outcome = VmOutcome::Completed;
+                            state.running[i] = true;
                             for victim in preempted {
-                                if let Some(&vi) = index_of.get(victim) {
-                                    records[vi].outcome = VmOutcome::Preempted { at_secs: time };
-                                    running[vi] = false;
-                                } else if let Some(autoscaler) = autoscaler.as_mut() {
+                                if let Some(&vi) = state.index_of.get(victim) {
+                                    state.records[vi].outcome =
+                                        VmOutcome::Preempted { at_secs: time };
+                                    state.running[vi] = false;
+                                } else if let Some(autoscaler) = state.autoscaler.as_mut() {
                                     // A preempted elastic replica must
                                     // leave the autoscaler's pool, or it
                                     // would count as active forever and
@@ -664,13 +756,13 @@ impl ClusterSimulation {
                         }
                         PlacementResult::Placed { server }
                         | PlacementResult::PlacedWithDeflation { server, .. } => {
-                            records[i].outcome = VmOutcome::Completed;
-                            running[i] = true;
+                            state.records[i].outcome = VmOutcome::Completed;
+                            state.running[i] = true;
                             Some(server)
                         }
                     };
                     if let Some(server) = touched_server {
-                        Self::record_allocations(manager, server, index_of, records, running, time);
+                        state.record_allocations(server, time);
                     }
                 }
                 SimEvent::Departure(i) => {
@@ -683,23 +775,21 @@ impl ClusterSimulation {
                                 ("vm", EventField::U64(workload[i].spec.id.0)),
                                 (
                                     "was_running",
-                                    EventField::Str(if running[i] { "yes" } else { "no" }),
+                                    EventField::Str(if state.running[i] { "yes" } else { "no" }),
                                 ),
                             ],
                         );
                     }
-                    if running[i] {
+                    if state.running[i] {
                         let vm = workload[i].spec.id;
-                        let server = manager.locate(vm);
+                        let server = state.manager.locate(vm);
                         // A mid-transfer departure also frees (and
                         // reinflates) the in-flight destination server.
-                        let dest = manager.in_flight_destination(vm);
-                        let _ = manager.remove_vm(vm);
-                        running[i] = false;
+                        let dest = state.manager.in_flight_destination(vm);
+                        let _ = state.manager.remove_vm(vm);
+                        state.running[i] = false;
                         for server in [server, dest].into_iter().flatten() {
-                            Self::record_allocations(
-                                manager, server, index_of, records, running, time,
-                            );
+                            state.record_allocations(server, time);
                         }
                     }
                 }
@@ -710,9 +800,11 @@ impl ClusterSimulation {
                     let _span = self.telemetry.span(Phase::ReclaimLadder);
                     {
                         let _sampling = self.telemetry.span(Phase::UtilizationSampling);
-                        Self::observe_utilizations(manager, workload, running, time);
+                        state.observe_utilizations(workload, time);
                     }
-                    let outcome = manager.reclaim_capacity(server, available_fraction, time);
+                    let outcome = state
+                        .manager
+                        .reclaim_capacity(server, available_fraction, time);
                     if self.telemetry.wants(TelemetryEventKind::CapacityReclaim) {
                         self.telemetry.log_event(
                             TelemetryEventKind::CapacityReclaim,
@@ -728,10 +820,7 @@ impl ClusterSimulation {
                             ],
                         );
                     }
-                    Self::apply_capacity_outcome(
-                        manager, &outcome, time, index_of, records, running, migrations, queue,
-                        autoscaler,
-                    );
+                    state.apply_capacity_outcome(&outcome, time);
                 }
                 SimEvent::CapacityRestore {
                     server,
@@ -740,9 +829,9 @@ impl ClusterSimulation {
                     let _span = self.telemetry.span(Phase::ReclaimLadder);
                     {
                         let _sampling = self.telemetry.span(Phase::UtilizationSampling);
-                        Self::observe_utilizations(manager, workload, running, time);
+                        state.observe_utilizations(workload, time);
                     }
-                    let outcome = manager.restore_capacity(
+                    let outcome = state.manager.restore_capacity(
                         server,
                         available_fraction,
                         self.migrate_back,
@@ -762,14 +851,11 @@ impl ClusterSimulation {
                             ],
                         );
                     }
-                    Self::apply_capacity_outcome(
-                        manager, &outcome, time, index_of, records, running, migrations, queue,
-                        autoscaler,
-                    );
+                    state.apply_capacity_outcome(&outcome, time);
                 }
                 SimEvent::MigrationComplete { migration } => {
                     let _span = self.telemetry.span(Phase::MigrationCompletion);
-                    let outcome = manager.complete_migration(migration, time);
+                    let outcome = state.manager.complete_migration(migration, time);
                     if self.telemetry.wants(TelemetryEventKind::MigrationComplete) {
                         self.telemetry.log_event(
                             TelemetryEventKind::MigrationComplete,
@@ -780,20 +866,18 @@ impl ClusterSimulation {
                             ],
                         );
                     }
-                    Self::apply_capacity_outcome(
-                        manager, &outcome, time, index_of, records, running, migrations, queue,
-                        autoscaler,
-                    );
+                    state.apply_capacity_outcome(&outcome, time);
                 }
                 SimEvent::UtilizationTick => {
                     let _span = self.telemetry.span(Phase::UtilizationSampling);
-                    let (used, capacity) = manager.cpu_usage_snapshot(ShardConfig::sequential());
+                    let (used, capacity) =
+                        state.manager.cpu_usage_snapshot(ShardConfig::sequential());
                     let value = if capacity <= 0.0 {
                         0.0
                     } else {
                         used / capacity
                     };
-                    utilization.push((time, value));
+                    state.utilization.push((time, value));
                     if self.telemetry.wants(TelemetryEventKind::UtilizationTick) {
                         self.telemetry.log_event(
                             TelemetryEventKind::UtilizationTick,
@@ -805,10 +889,10 @@ impl ClusterSimulation {
                     // autoscaler observes each app against the settled
                     // cluster state and schedules ScaleOut / ScaleIn
                     // events in the engine's global event order.
-                    if let Some(autoscaler) = autoscaler.as_mut() {
+                    if let Some(autoscaler) = state.autoscaler.as_mut() {
                         let _decide = self.telemetry.span(Phase::Autoscale);
-                        for (t, event) in autoscaler.on_tick(time, &*manager) {
-                            queue.push(t, event);
+                        for (t, event) in autoscaler.on_tick(time, &state.manager) {
+                            state.queue.push(t, event);
                         }
                     }
                     // Memory-ledger sampling rides the utilisation-tick
@@ -817,17 +901,7 @@ impl ClusterSimulation {
                     // entirely when telemetry is off, and never consulted
                     // by any decision path.
                     if self.telemetry.enabled() {
-                        self.publish_memory(
-                            workload,
-                            manager,
-                            queue,
-                            index_of,
-                            records,
-                            running,
-                            migrations,
-                            utilization,
-                            autoscaler.as_ref(),
-                        );
+                        state.publish_memory(workload, &self.telemetry);
                     }
                 }
                 SimEvent::ScaleOut { app } => {
@@ -839,25 +913,27 @@ impl ClusterSimulation {
                             &[("app", EventField::U64(u64::from(app)))],
                         );
                     }
-                    let Some(scaler) = autoscaler.as_mut() else {
+                    let Some(scaler) = state.autoscaler.as_mut() else {
                         continue;
                     };
-                    let touched = scaler.on_scale_out(app, time, manager);
+                    let touched = scaler.on_scale_out(app, time, &mut state.manager);
                     // Under the preemption baseline a replica launch can
                     // kill resident workload VMs — and other replicas;
                     // reconcile both (deflation and migration-only
                     // launches never preempt).
                     if matches!(self.mode, ReclamationMode::Preemption) {
-                        for (i, record) in records.iter_mut().enumerate() {
-                            if running[i] && manager.locate(workload[i].spec.id).is_none() {
+                        for (i, record) in state.records.iter_mut().enumerate() {
+                            if state.running[i]
+                                && state.manager.locate(workload[i].spec.id).is_none()
+                            {
                                 record.outcome = VmOutcome::Preempted { at_secs: time };
-                                running[i] = false;
+                                state.running[i] = false;
                             }
                         }
-                        scaler.reconcile_lost(&*manager);
+                        scaler.reconcile_lost(&state.manager);
                     }
                     for server in touched {
-                        Self::record_allocations(manager, server, index_of, records, running, time);
+                        state.record_allocations(server, time);
                     }
                 }
                 SimEvent::ScaleIn { app } => {
@@ -869,23 +945,26 @@ impl ClusterSimulation {
                             &[("app", EventField::U64(u64::from(app)))],
                         );
                     }
-                    let Some(autoscaler) = autoscaler.as_mut() else {
+                    let Some(autoscaler) = state.autoscaler.as_mut() else {
                         continue;
                     };
-                    for server in autoscaler.on_scale_in(app, time, manager) {
-                        Self::record_allocations(manager, server, index_of, records, running, time);
+                    for server in autoscaler.on_scale_in(app, time, &mut state.manager) {
+                        state.record_allocations(server, time);
                     }
                 }
             }
             // The audit point: after the event's handler has settled, the
-            // enabled checkers re-verify the engine's invariants against
+            // checkers re-verify the engine's invariants against
             // the state the handler left behind. Strictly read-only; the
             // run fails fast on the first violation (every later number
             // would be untrustworthy), after logging it to the event log.
-            if let Some(auditor) = auditor.as_mut() {
-                if let Some(violation) =
-                    auditor.after_event(*events_processed, time, manager, autoscaler.as_ref())
-                {
+            if let Some(auditor) = state.auditor.as_mut() {
+                if let Some(violation) = auditor.after_event(
+                    state.events_processed,
+                    time,
+                    &state.manager,
+                    state.autoscaler.as_ref(),
+                ) {
                     if self.telemetry.wants(TelemetryEventKind::AuditViolation) {
                         self.telemetry.log_event(
                             TelemetryEventKind::AuditViolation,
@@ -924,105 +1003,36 @@ impl ClusterSimulation {
         // still report settled `mem.*` gauges (and the scale-sweep's
         // before-picture relies on exactly this).
         if self.telemetry.enabled() {
-            self.publish_memory(
-                workload,
-                &state.manager,
-                &state.queue,
-                &state.index_of,
-                &state.records,
-                &state.running,
-                &state.migrations,
-                &state.utilization,
-                state.autoscaler.as_ref(),
-            );
+            state.publish_memory(workload, &self.telemetry);
         }
-        let EngineState {
-            manager,
-            autoscaler,
-            records,
-            migrations,
-            utilization,
-            events_processed,
-            ..
-        } = state;
-        debug_assert!(manager.check_invariants());
+        debug_assert!(state.manager.check_invariants());
         let _assembly = self.telemetry.span(Phase::ResultAssembly);
-        let autoscale = autoscaler.map(Autoscaler::into_stats).unwrap_or_default();
+        let autoscale = state
+            .autoscaler
+            .map(Autoscaler::into_stats)
+            .unwrap_or_default();
         // Final-state metrics are published exactly once, from settled
         // counters, so snapshots are deterministic.
-        manager.publish_metrics();
+        state.manager.publish_metrics();
         autoscale.publish_metrics(&self.telemetry);
         self.telemetry
-            .gauge_set("engine.events_processed", events_processed as f64);
+            .gauge_set("engine.events_processed", state.events_processed as f64);
         SimResult {
-            records,
-            counters: manager.counters(),
-            transient: manager.transient_counters(),
-            scheduler: manager.scheduler_stats(),
+            records: state.records,
+            counters: state.manager.counters(),
+            transient: state.manager.transient_counters(),
+            scheduler: state.manager.scheduler_stats(),
             autoscale,
-            migrations,
-            utilization,
+            migrations: state.migrations,
+            utilization: state.utilization,
             num_servers: self.config.num_servers,
             overcommitment,
             policy_name: self.mode.name().to_string(),
             runtime: RunStats {
                 wall_clock_secs: started_at.elapsed().as_secs_f64(),
-                events_processed,
+                events_processed: state.events_processed,
                 shards: 1,
             },
-        }
-    }
-
-    /// Publish the per-subsystem memory ledger into the telemetry metrics
-    /// registry: one deterministic `mem.<subsystem>` byte gauge per owner
-    /// (see [`MemoryLedger`]) plus `mem.accounted_total`, and alongside
-    /// them the live `mem.rss_kib` VmRSS reading — the OS-level ground
-    /// truth the accounted gauges are compared against by `fig_memory`
-    /// (absent off Linux). Caller guards on `telemetry.enabled()`.
-    #[allow(clippy::too_many_arguments)]
-    fn publish_memory(
-        &self,
-        workload: &[WorkloadVm],
-        manager: &ClusterManager,
-        queue: &EventQueue,
-        index_of: &HashMap<VmId, usize>,
-        records: &[VmRecord],
-        running: &[bool],
-        migrations: &[MigrationEvent],
-        utilization: &[(f64, f64)],
-        autoscaler: Option<&Autoscaler>,
-    ) {
-        use deflate_core::mem::{map_entry_bytes, vec_bytes};
-        use std::mem::size_of;
-        let mut ledger = MemoryLedger::new();
-        // The sink's own footprint first, measured before this publish
-        // grows the registry with the `mem.*` entries themselves.
-        ledger.record("telemetry", self.telemetry.accounted_bytes());
-        manager.record_memory(&mut ledger);
-        ledger.record("event_queue", queue.accounted_bytes());
-        ledger.record(
-            "vm_records",
-            vec_bytes(records)
-                + records.iter().map(VmRecord::accounted_bytes).sum::<u64>()
-                + vec_bytes(running)
-                + index_of.len() as u64 * map_entry_bytes(size_of::<VmId>(), size_of::<usize>()),
-        );
-        ledger.record(
-            "workload",
-            vec_bytes(workload)
-                + workload
-                    .iter()
-                    .map(WorkloadVm::accounted_bytes)
-                    .sum::<u64>(),
-        );
-        ledger.record("migration_log", vec_bytes(migrations));
-        ledger.record("utilization", vec_bytes(utilization));
-        if let Some(autoscaler) = autoscaler {
-            ledger.record("autoscaler", autoscaler.accounted_bytes());
-        }
-        ledger.publish(&self.telemetry);
-        if let Some(rss) = deflate_telemetry::rss_kib() {
-            self.telemetry.gauge_set("mem.rss_kib", rss);
         }
     }
 
@@ -1087,102 +1097,6 @@ impl ClusterSimulation {
                 cpu_util: vm.cpu_util.clone(),
             })
             .collect()
-    }
-
-    /// Refresh every running VM's recent-utilisation sample from its trace
-    /// ahead of a capacity event, so the migration cost model estimates
-    /// transfers from current behaviour rather than boot-time idleness.
-    /// Only consequential — and only paid for — when a dirty-rate model
-    /// is active: without one the samples could never influence an
-    /// estimate, so the O(workload) pass is skipped.
-    fn observe_utilizations(
-        manager: &mut ClusterManager,
-        workload: &[WorkloadVm],
-        running: &[bool],
-        time: f64,
-    ) {
-        if manager.migration_cost().dirty_rate_mbps <= 0.0 {
-            return;
-        }
-        for (vm, _) in workload.iter().zip(running).filter(|(_, &run)| run) {
-            manager.observe_vm_utilization(vm.spec.id, vm.cpu_util.at(time - vm.arrival_secs));
-        }
-    }
-
-    /// Fold a capacity-change outcome into the per-VM bookkeeping: evicted
-    /// VMs stop running, completed migrations are logged with their
-    /// transfer cost, newly started transfers get a `MigrationComplete`
-    /// event scheduled, and allocation histories of every touched server
-    /// are brought up to date. Victims outside the workload are elastic
-    /// replicas — they have no record, but the autoscaler must drop them
-    /// from its pool (and count the loss).
-    #[allow(clippy::too_many_arguments)]
-    fn apply_capacity_outcome(
-        manager: &ClusterManager,
-        outcome: &crate::manager::CapacityChangeOutcome,
-        time: f64,
-        index_of: &HashMap<VmId, usize>,
-        records: &mut [VmRecord],
-        running: &mut [bool],
-        migrations: &mut Vec<MigrationEvent>,
-        queue: &mut EventQueue,
-        autoscaler: &mut Option<Autoscaler>,
-    ) {
-        for &victim in &outcome.victims {
-            if let Some(&vi) = index_of.get(&victim) {
-                records[vi].outcome = VmOutcome::Evicted { at_secs: time };
-                running[vi] = false;
-            } else if let Some(autoscaler) = autoscaler.as_mut() {
-                autoscaler.on_replica_evicted(victim);
-            }
-        }
-        for migration in &outcome.migrated {
-            migrations.push(MigrationEvent {
-                time_secs: time,
-                vm: migration.vm,
-                from: migration.from,
-                to: migration.to,
-                duration_secs: migration.duration_secs,
-                volume_mb: migration.volume_mb,
-                back: migration.back,
-            });
-        }
-        for started in &outcome.started {
-            queue.push(
-                started.event_secs,
-                SimEvent::MigrationComplete {
-                    migration: started.id,
-                },
-            );
-        }
-        for &server in &outcome.touched {
-            Self::record_allocations(manager, server, index_of, records, running, time);
-        }
-    }
-
-    /// Append allocation change-points for every VM on the touched server
-    /// whose CPU fraction changed since the last recorded value.
-    fn record_allocations(
-        manager: &ClusterManager,
-        server: deflate_core::vm::ServerId,
-        index_of: &HashMap<VmId, usize>,
-        records: &mut [VmRecord],
-        running: &[bool],
-        time: f64,
-    ) {
-        manager.for_each_allocation_fraction_on(server, |vm, fraction| {
-            let Some(&i) = index_of.get(&vm) else {
-                return;
-            };
-            if !running[i] {
-                return;
-            }
-            let history = &mut records[i].allocation_history;
-            match history.last() {
-                Some(&(_, last)) if (last - fraction).abs() < 1e-9 => {}
-                _ => history.push((time, fraction)),
-            }
-        });
     }
 }
 

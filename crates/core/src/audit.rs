@@ -1,4 +1,5 @@
-//! The online-audit knob: which engine invariants a run checks as it goes.
+//! The online-audit knob: whether a run checks the engine's invariants as
+//! it goes.
 //!
 //! [`AuditSpec`] is plain configuration data, mirroring the other engine
 //! knobs ([`TelemetrySpec`](crate::telemetry::TelemetrySpec), the policy
@@ -11,40 +12,22 @@
 //! * **Off by default.** `AuditSpec::default()` enables nothing; a run
 //!   without the knob behaves exactly as before the auditor existed.
 //! * **Auditing never changes results.** Every checker is a read-only
-//!   observer of settled state between events: enabling all of them
+//!   observer of settled state between events: turning auditing on
 //!   leaves every `SimResult` field bit-identical to an audit-off run. A
 //!   checker that *fires* aborts the run with a diagnostic — by then the
 //!   state is, by definition, already wrong.
 
 use serde::{Deserialize, Serialize};
 
-/// Which online invariant checkers a simulation run executes after each
-/// event. **Everything is off by default**; `deflate-cluster` turns the
-/// spec into a live auditor.
+/// Whether a simulation run checks its invariants after each event.
+/// **Off by default**; `deflate-cluster` turns the spec into a live
+/// auditor, which runs every checker when the spec is on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct AuditSpec {
-    /// Check every server's capacity-conservation invariant (effective
-    /// allocations, net of in-flight outbound transfers, never exceed
-    /// capacity) after each event.
-    pub capacity: bool,
-    /// Check the transfer scheduler's bandwidth ledgers against the
-    /// manager's in-flight transfer table: every live reservation must be
-    /// backed by a transfer actually on the wire.
-    pub bandwidth_ledger: bool,
-    /// Check that event delivery times never move backwards (the queue's
-    /// total order is monotone in time).
-    pub monotonicity: bool,
-    /// Check the incremental placement index's cached views against a
-    /// freshly derived full rescan (clean entries must agree exactly).
-    /// Expensive — O(servers) per audit point — so it runs only every
-    /// [`placement_sample_every`](Self::placement_sample_every)-th event.
-    pub placement_index: bool,
-    /// Check the autoscaler's replica ledger: every replica ever launched
-    /// is still pooled (active or parked), retired, or counted lost.
-    pub replica_ledger: bool,
-    /// Run the placement-index rescan every `n`-th audited event
-    /// (1 = every event). `0` is normalised to 1. Ignored unless
-    /// [`placement_index`](Self::placement_index) is set.
+    /// Run the checkers after every event.
+    pub enabled: bool,
+    /// Run the placement-index rescan, the one O(servers) checker, every
+    /// `n`-th audited event (1 = every event). `0` is normalised to 1.
     pub placement_sample_every: u64,
 }
 
@@ -58,11 +41,7 @@ impl AuditSpec {
     /// The disabled spec (what `Default` also yields): no checkers.
     pub fn off() -> Self {
         AuditSpec {
-            capacity: false,
-            bandwidth_ledger: false,
-            monotonicity: false,
-            placement_index: false,
-            replica_ledger: false,
+            enabled: false,
             placement_sample_every: DEFAULT_PLACEMENT_SAMPLE,
         }
     }
@@ -71,22 +50,8 @@ impl AuditSpec {
     /// the configuration the determinism pins run under.
     pub fn all() -> Self {
         AuditSpec {
-            capacity: true,
-            bandwidth_ledger: true,
-            monotonicity: true,
-            placement_index: true,
-            replica_ledger: true,
-            placement_sample_every: DEFAULT_PLACEMENT_SAMPLE,
-        }
-    }
-
-    /// The cheap checkers only (capacity, bandwidth ledger, monotonicity,
-    /// replica ledger) — O(servers' residents) per event at worst, no
-    /// full placement rescans.
-    pub fn cheap() -> Self {
-        AuditSpec {
-            placement_index: false,
-            ..AuditSpec::all()
+            enabled: true,
+            ..AuditSpec::off()
         }
     }
 
@@ -97,13 +62,9 @@ impl AuditSpec {
         self
     }
 
-    /// True when no checker is enabled (the default).
+    /// True when auditing is off (the default).
     pub fn is_off(&self) -> bool {
-        !self.capacity
-            && !self.bandwidth_ledger
-            && !self.monotonicity
-            && !self.placement_index
-            && !self.replica_ledger
+        !self.enabled
     }
 
     /// The placement sampling interval with `0` normalised to 1.
@@ -130,22 +91,11 @@ mod tests {
     }
 
     #[test]
-    fn all_enables_every_checker() {
+    fn all_turns_auditing_on() {
         let spec = AuditSpec::all();
         assert!(!spec.is_off());
-        assert!(spec.capacity);
-        assert!(spec.bandwidth_ledger);
-        assert!(spec.monotonicity);
-        assert!(spec.placement_index);
-        assert!(spec.replica_ledger);
-    }
-
-    #[test]
-    fn cheap_skips_the_rescan() {
-        let spec = AuditSpec::cheap();
-        assert!(!spec.is_off());
-        assert!(!spec.placement_index);
-        assert!(spec.capacity);
+        assert!(spec.enabled);
+        assert_eq!(spec.placement_sample_rate(), DEFAULT_PLACEMENT_SAMPLE);
     }
 
     #[test]

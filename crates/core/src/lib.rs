@@ -32,10 +32,11 @@
 //!   guarantee that enabling any sink never changes simulation results.
 //! * [`mem`] — byte-accounting conventions behind the per-subsystem
 //!   `accounted_bytes()` impls and the `mem.*` memory-ledger gauges.
-//! * [`audit`] — the online-audit knob ([`AuditSpec`]): which engine
-//!   invariants (capacity conservation, bandwidth-ledger balance, event
-//!   monotonicity, placement-index consistency, replica-ledger balance)
-//!   a run checks after every event, **off by default**, with the same
+//! * [`audit`] — the online-audit knob ([`AuditSpec`]): whether a run
+//!   checks the engine's invariants (capacity conservation,
+//!   bandwidth-ledger balance, event monotonicity, placement-index
+//!   consistency, replica-ledger balance) after every event, **off by
+//!   default**, with the same
 //!   guarantee — auditing never changes results.
 //!
 //! The simulated hypervisor substrate lives in `deflate-hypervisor`, the
