@@ -106,17 +106,6 @@ impl Auditor {
         }
     }
 
-    /// The spec this auditor runs.
-    pub fn spec(&self) -> AuditSpec {
-        self.spec
-    }
-
-    /// True when auditing is off (the engine then skips the audit call
-    /// entirely).
-    pub fn is_off(&self) -> bool {
-        self.spec.is_off()
-    }
-
     /// Run every checker after one processed event. `event_id` is
     /// the engine's processed-event counter, `time_secs` the event's
     /// delivery time. Returns the first violation found, if any; the
@@ -242,8 +231,16 @@ mod tests {
 
     #[test]
     fn default_spec_is_off_and_audits_nothing() {
-        let auditor = Auditor::new(AuditSpec::default());
-        assert!(auditor.is_off());
+        // A shrunk server the capacity checker flags when auditing is on.
+        let mut cluster = small_cluster();
+        assert!(cluster.place_vm(vm(1)).is_placed());
+        for idx in 0..cluster.num_servers() {
+            cluster.controller_mut(idx).server_mut().capacity = ResourceVector::cpu_mem(1.0, 1.0);
+        }
+        let mut off = Auditor::new(AuditSpec::default());
+        assert!(off.after_event(1, 0.0, &cluster, None).is_none());
+        let mut on = Auditor::new(AuditSpec::all());
+        assert!(on.after_event(1, 0.0, &cluster, None).is_some());
     }
 
     // Mutation: shrink a server's capacity under a resident VM. The

@@ -111,8 +111,7 @@ pub use audit::{AuditViolation, Auditor};
 pub use bisect::{bisect_divergence, first_divergent_field, DivergenceReport, SnapshotDiff};
 pub use manager::{
     AdmissionCounters, CapacityChangeOutcome, ClusterConfig, ClusterManager, EngineConfig,
-    MigrationRecord, PendingMigration, PlacementKind, PlacementResult, ReclamationMode,
-    TransientCounters,
+    PendingMigration, PlacementKind, PlacementResult, ReclamationMode, TransientCounters,
 };
 pub use metrics::{MigrationEvent, SimResult, VmOutcome, VmRecord};
 pub use placement::PlacementIndex;
@@ -128,8 +127,7 @@ pub mod prelude {
     };
     pub use crate::manager::{
         AdmissionCounters, CapacityChangeOutcome, ClusterConfig, ClusterManager, EngineConfig,
-        MigrationRecord, PendingMigration, PlacementKind, PlacementResult, ReclamationMode,
-        TransientCounters,
+        PendingMigration, PlacementKind, PlacementResult, ReclamationMode, TransientCounters,
     };
     pub use crate::metrics::{MigrationEvent, SimResult, VmOutcome, VmRecord};
     pub use crate::scheduler::{SchedulerStats, TransferScheduler};

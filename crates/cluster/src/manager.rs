@@ -50,6 +50,7 @@
 //! deadline.
 
 use crate::audit::AuditFinding;
+use crate::metrics::MigrationEvent;
 use crate::placement::PlacementIndex;
 use crate::scheduler::{SchedulerStats, TransferDecision, TransferRequest, TransferScheduler};
 use deflate_autoscale::ElasticCluster;
@@ -64,7 +65,7 @@ use deflate_core::resources::{ResourceKind, ResourceVector};
 use deflate_core::shard::ShardConfig;
 use deflate_core::vm::{ServerId, VmId, VmSpec};
 use deflate_hypervisor::controller::{AdmissionOutcome, LocalController};
-use deflate_hypervisor::domain::{CacheRegrowthModel, DeflationMechanism};
+use deflate_hypervisor::domain::{CacheRegrowthModel, DeflationMechanism, Domain};
 use deflate_hypervisor::migration::MigrationCostModel;
 use deflate_hypervisor::server::SimServer;
 use deflate_telemetry::{MemoryLedger, Phase, TelemetrySink};
@@ -258,27 +259,6 @@ pub struct TransientCounters {
     pub reclamation_victims: usize,
 }
 
-/// One VM moved between servers by the reclamation handler. Reported when
-/// the transfer *completes* (instantly for the cost-free model).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct MigrationRecord {
-    /// The migrated VM.
-    pub vm: VmId,
-    /// Server it left.
-    pub from: ServerId,
-    /// Server it now runs on.
-    pub to: ServerId,
-    /// Wall-clock page-transfer time charged by the cost model, seconds
-    /// (0 for the cost-free instant model).
-    pub duration_secs: f64,
-    /// Bytes moved over the wire, MiB (hot footprint × dirty-page
-    /// overhead).
-    pub volume_mb: f64,
-    /// True when this was a migrate-back to the VM's origin server after a
-    /// capacity restitution.
-    pub back: bool,
-}
-
 /// A live migration that has *started* but not yet completed: the cluster
 /// manager hands these to the simulator, which schedules a
 /// `MigrationComplete` event at [`event_secs`](Self::event_secs) and feeds
@@ -305,8 +285,10 @@ pub struct PendingMigration {
 /// What a capacity reclamation / restitution did to the cluster.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct CapacityChangeOutcome {
-    /// Migrations that completed during this change (instant-model moves).
-    pub migrated: Vec<MigrationRecord>,
+    /// Migrations that completed during this change (instant-model moves,
+    /// or the landing a `complete_migration` call resolved), stamped with
+    /// the call's time and ready for the simulation's migration log.
+    pub migrated: Vec<MigrationEvent>,
     /// Transfers that started and are now in flight; the caller must
     /// schedule a `MigrationComplete` event for each.
     pub started: Vec<PendingMigration>,
@@ -328,6 +310,8 @@ impl CapacityChangeOutcome {
 /// One transfer currently on the wire.
 #[derive(Debug, Clone, Copy, Default)]
 struct InFlight {
+    /// The migration id its `MigrationComplete` event carries.
+    id: u64,
     vm: VmId,
     source: usize,
     dest: usize,
@@ -342,6 +326,22 @@ struct InFlight {
 }
 
 impl InFlight {
+    /// The flight of a booked `request` whose page copy starts at
+    /// `start_secs`.
+    fn booked(id: u64, request: &TransferRequest, start_secs: f64) -> Self {
+        InFlight {
+            id,
+            vm: request.vm,
+            source: request.source,
+            dest: request.dest,
+            start_secs,
+            finish_secs: start_secs + request.duration_secs,
+            deadline_secs: request.deadline_secs,
+            volume_mb: request.volume_mb,
+            back: request.back,
+        }
+    }
+
     fn aborts(&self) -> bool {
         self.finish_secs > self.deadline_secs
     }
@@ -351,25 +351,6 @@ impl InFlight {
     fn event_secs(&self) -> f64 {
         self.finish_secs.min(self.deadline_secs)
     }
-}
-
-/// A transfer the reclamation/restitution handler has *selected* (the
-/// destination reservation exists, the VM is pledged to leave its source)
-/// but that has not been granted a bandwidth slot yet. Staged transfers
-/// accumulate over one capacity event and are handed to the
-/// [`TransferScheduler`] as a single decision batch, so the scheduling
-/// policy can reorder them — or, under EDF admission control, refuse them
-/// — before any slot is booked.
-#[derive(Debug, Clone, Copy)]
-struct StagedTransfer {
-    vm: VmId,
-    source: usize,
-    dest: usize,
-    duration_secs: f64,
-    volume_mb: f64,
-    /// Absolute abort deadline; infinite for migrate-backs.
-    deadline_secs: f64,
-    back: bool,
 }
 
 /// How [`ClusterManager::admit_on_best`] tries the server it ranked best.
@@ -430,17 +411,20 @@ pub struct ClusterManager {
     /// First server each migrated VM ran on, for migrate-back after a
     /// capacity restitution.
     migration_origin: HashMap<VmId, usize>,
-    /// Transfers currently on the wire, by migration id.
-    in_flight: HashMap<u64, InFlight>,
-    /// Reverse index: which migration a VM is currently part of.
-    in_flight_by_vm: HashMap<VmId, u64>,
+    /// Transfers currently on the wire, by migrating VM (a VM is part of
+    /// at most one transfer at a time).
+    in_flight: HashMap<VmId, InFlight>,
     next_migration_id: u64,
     /// Global bandwidth-slot scheduler: the per-server ledgers, booked
     /// under [`EngineConfig::transfer_policy`].
     scheduler: TransferScheduler,
-    /// Transfers selected but not yet booked, within the current capacity
-    /// event only (always empty between manager calls).
-    staged: Vec<StagedTransfer>,
+    /// Transfers the reclamation/restitution handler has selected (the
+    /// destination reservation exists, the VM is pledged to leave its
+    /// source) but not yet booked. They accumulate over one capacity event
+    /// and go to the [`TransferScheduler`] as one decision batch, so the
+    /// policy can reorder them, or under EDF refuse them, before any slot
+    /// is booked. Always empty between manager calls.
+    staged: Vec<TransferRequest>,
     /// Per-server time of the last capacity reclamation, for the restore
     /// policy's hysteresis window (`-∞` before the first reclaim).
     last_reclaim_secs: Vec<f64>,
@@ -471,6 +455,17 @@ fn local_policy(mode: &ReclamationMode) -> Arc<dyn DeflationPolicy> {
         ReclamationMode::Preemption | ReclamationMode::MigrationOnly => {
             Arc::new(deflate_core::policy::ProportionalDeflation::default())
         }
+    }
+}
+
+/// A domain's CPU allocation as a fraction of its maximum (1.0 when the
+/// maximum is zero).
+fn cpu_fraction(domain: &Domain) -> f64 {
+    let max = domain.spec.max_allocation[ResourceKind::Cpu];
+    if max <= 0.0 {
+        1.0
+    } else {
+        domain.effective_allocation()[ResourceKind::Cpu] / max
     }
 }
 
@@ -513,7 +508,6 @@ impl ClusterManager {
             vm_location: HashMap::new(),
             migration_origin: HashMap::new(),
             in_flight: HashMap::new(),
-            in_flight_by_vm: HashMap::new(),
             next_migration_id: 0,
             scheduler: TransferScheduler::new(config.num_servers),
             staged: Vec::new(),
@@ -617,14 +611,13 @@ impl ClusterManager {
     /// True when the VM is part of an in-flight migration (accounted on
     /// both its source and destination server until the transfer ends).
     pub fn is_in_flight(&self, vm: VmId) -> bool {
-        self.in_flight_by_vm.contains_key(&vm)
+        self.in_flight.contains_key(&vm)
     }
 
     /// The destination server of the VM's in-flight migration, if any —
     /// the second server whose residents a mid-transfer departure touches.
     pub fn in_flight_destination(&self, vm: VmId) -> Option<ServerId> {
-        let mid = self.in_flight_by_vm.get(&vm)?;
-        let flight = self.in_flight.get(mid)?;
+        let flight = self.in_flight.get(&vm)?;
         Some(self.controllers[flight.dest].server().id)
     }
 
@@ -692,11 +685,7 @@ impl ClusterManager {
     pub fn cpu_allocation_fraction(&self, vm: VmId) -> Option<f64> {
         let &idx = self.vm_location.get(&vm)?;
         let domain = self.controllers[idx].server().domain(vm)?;
-        let max = domain.spec.max_allocation[ResourceKind::Cpu];
-        if max <= 0.0 {
-            return Some(1.0);
-        }
-        Some(domain.effective_allocation()[ResourceKind::Cpu] / max)
+        Some(cpu_fraction(domain))
     }
 
     /// All VMs currently running, with their CPU allocation fractions.
@@ -709,13 +698,7 @@ impl ClusterManager {
                 if self.vm_location.get(&domain.spec.id) != Some(&idx) {
                     continue;
                 }
-                let max = domain.spec.max_allocation[ResourceKind::Cpu];
-                let frac = if max <= 0.0 {
-                    1.0
-                } else {
-                    domain.effective_allocation()[ResourceKind::Cpu] / max
-                };
-                out.push((domain.spec.id, frac));
+                out.push((domain.spec.id, cpu_fraction(domain)));
             }
         }
         out
@@ -750,13 +733,7 @@ impl ClusterManager {
             if inbound && self.vm_location.get(&domain.spec.id) != Some(&idx) {
                 continue;
             }
-            let max = domain.spec.max_allocation[ResourceKind::Cpu];
-            let frac = if max <= 0.0 {
-                1.0
-            } else {
-                domain.effective_allocation()[ResourceKind::Cpu] / max
-            };
-            f(domain.spec.id, frac);
+            f(domain.spec.id, cpu_fraction(domain));
         }
     }
 
@@ -1069,7 +1046,7 @@ impl ClusterManager {
                 .iter()
                 .filter(|&(vm, &origin)| {
                     origin == idx
-                        && !self.in_flight_by_vm.contains_key(vm)
+                        && !self.in_flight.contains_key(vm)
                         && self.vm_location.get(vm).is_some_and(|&cur| cur != idx)
                 })
                 .map(|(&vm, _)| vm)
@@ -1083,47 +1060,39 @@ impl ClusterManager {
                 // The candidate's cache may have regrown since it was last
                 // squeezed; bring it up to date before costing the copy.
                 self.advance_caches_on(current, now_secs);
-                let Some(domain) = self.controllers[current].server().domain(vm) else {
-                    continue;
-                };
-                if domain.is_parked() {
+                let server = self.controllers[current].server();
+                if server.domain(vm).is_some_and(Domain::is_parked) {
                     // A parked replica stays put: moving it would undo the
                     // autoscaler's scale-in. It remains displaced, so a
                     // restitution after its unpark can still bring it home.
                     continue;
                 }
-                let spec = domain.spec.clone();
-                let duration = self.engine.migration_cost.transfer_secs(domain);
-                let volume = self.engine.migration_cost.transfer_volume_mb(domain);
+                // Restitutions are not emergencies: no deadline.
+                let Some((spec, request)) = self.price_move(vm, current, f64::INFINITY, true)
+                else {
+                    continue;
+                };
                 // Only move back when the VM fits its origin at full size —
-                // a migrate-back must never force new deflation — and when
-                // the cost model allows a transfer at all.
-                if duration.is_infinite()
-                    || !spec
-                        .max_allocation
-                        .fits_within(&self.controllers[idx].server().free())
+                // a migrate-back must never force new deflation.
+                if !spec
+                    .max_allocation
+                    .fits_within(&self.controllers[idx].server().free())
                 {
                     continue;
                 }
                 // The home domain exists before the away copy goes (the two
-                // servers differ). The deadline is infinite because
-                // restitutions are not emergencies.
+                // servers differ).
                 self.mark_server_dirty(idx);
                 if self.controllers[idx]
                     .server_mut()
                     .create_domain(spec, self.mechanism)
                     .is_ok()
                 {
-                    let transfer = StagedTransfer {
-                        vm,
-                        source: current,
+                    let request = TransferRequest {
                         dest: idx,
-                        duration_secs: duration,
-                        volume_mb: volume,
-                        deadline_secs: f64::INFINITY,
-                        back: true,
+                        ..request
                     };
-                    self.begin_transfer(transfer, &mut outcome);
+                    self.begin_transfer(request, now_secs, &mut outcome);
                 }
             }
             self.finalize_staged(now_secs, &mut outcome);
@@ -1159,7 +1128,7 @@ impl ClusterManager {
         outcome: &mut CapacityChangeOutcome,
     ) {
         debug_assert!(self.staged.is_empty());
-        self.stage_migrations_until_fits(source, attempt, deadline_secs, outcome);
+        self.stage_migrations_until_fits(source, attempt, now_secs, deadline_secs, outcome);
         self.finalize_staged(now_secs, outcome);
     }
 
@@ -1170,6 +1139,7 @@ impl ClusterManager {
         &mut self,
         source: usize,
         attempt: Attempt,
+        now_secs: f64,
         deadline_secs: f64,
         outcome: &mut CapacityChangeOutcome,
     ) {
@@ -1193,7 +1163,7 @@ impl ClusterManager {
                 let mut best: Option<(bool, f64, VmId)> = None;
                 for domain in server.domains() {
                     if attempted.contains(&domain.spec.id)
-                        || self.in_flight_by_vm.contains_key(&domain.spec.id)
+                        || self.in_flight.contains_key(&domain.spec.id)
                         || domain.is_parked()
                     {
                         continue;
@@ -1227,75 +1197,90 @@ impl ClusterManager {
                     }
                 }
             }
-            let Some((spec, duration, volume)) =
-                self.controllers[source].server().domain(vm).map(|d| {
-                    (
-                        d.spec.clone(),
-                        self.engine.migration_cost.transfer_secs(d),
-                        self.engine.migration_cost.transfer_volume_mb(d),
-                    )
-                })
-            else {
+            let Some((spec, request)) = self.price_move(vm, source, deadline_secs, false) else {
                 continue;
             };
-            if duration.is_infinite() {
-                // Zero link bandwidth: migration is impossible, fall
-                // through to eviction for this VM.
-                continue;
-            }
-            let Some((target, _)) = self.admit_on_best(&spec, vec![source_id], attempt) else {
+            let Some((dest, _)) = self.admit_on_best(&spec, vec![source_id], attempt) else {
                 continue;
             };
-            let transfer = StagedTransfer {
-                vm,
-                source,
-                dest: target,
-                duration_secs: duration,
-                volume_mb: volume,
-                deadline_secs,
-                back: false,
-            };
-            self.begin_transfer(transfer, outcome);
+            self.begin_transfer(TransferRequest { dest, ..request }, now_secs, outcome);
         }
     }
 
-    /// Start moving a VM whose domain already exists on `transfer.dest`.
-    /// A cost-free transfer lands inline; a costed one is staged for the
-    /// [`TransferScheduler`], keeps running on its source and lands at its
-    /// `MigrationComplete` event. An inline migrate-back reinflates its
-    /// source at once. An inline forward move does not: mid-ladder the
-    /// source is still over capacity, and the ladder's closing
-    /// [`reinflate_if_fits`](Self::reinflate_if_fits) hands out its room.
-    fn begin_transfer(&mut self, transfer: StagedTransfer, outcome: &mut CapacityChangeOutcome) {
-        let to = self.controllers[transfer.dest].server().id;
-        if transfer.duration_secs <= 0.0 {
-            let record = MigrationRecord {
-                vm: transfer.vm,
-                from: self.controllers[transfer.source].server().id,
+    /// Price moving `vm` off server `source` under the cost model: the VM's
+    /// spec and its transfer request, whose `dest` is still `source` for
+    /// the caller to fill in. `None` when the VM is not on `source` or the
+    /// model allows no transfer at all (zero link bandwidth); the VM then
+    /// stays put, and a reclaim ladder falls through to eviction for it.
+    fn price_move(
+        &self,
+        vm: VmId,
+        source: usize,
+        deadline_secs: f64,
+        back: bool,
+    ) -> Option<(VmSpec, TransferRequest)> {
+        let domain = self.controllers[source].server().domain(vm)?;
+        let cost = &self.engine.migration_cost;
+        let duration_secs = cost.transfer_secs(domain);
+        if duration_secs.is_infinite() {
+            return None;
+        }
+        let request = TransferRequest {
+            vm,
+            source,
+            dest: source,
+            duration_secs,
+            volume_mb: cost.transfer_volume_mb(domain),
+            deadline_secs,
+            back,
+        };
+        Some((domain.spec.clone(), request))
+    }
+
+    /// Start moving a VM whose domain already exists on `request.dest`.
+    /// A cost-free transfer lands inline at `now_secs`; a costed one is
+    /// staged for the [`TransferScheduler`], keeps running on its source
+    /// and lands at its `MigrationComplete` event. An inline migrate-back
+    /// reinflates its source at once. An inline forward move does not:
+    /// mid-ladder the source is still over capacity, and the ladder's
+    /// closing [`reinflate_if_fits`](Self::reinflate_if_fits) hands out
+    /// its room.
+    fn begin_transfer(
+        &mut self,
+        request: TransferRequest,
+        now_secs: f64,
+        outcome: &mut CapacityChangeOutcome,
+    ) {
+        let to = self.controllers[request.dest].server().id;
+        if request.duration_secs <= 0.0 {
+            let event = MigrationEvent {
+                time_secs: now_secs,
+                vm: request.vm,
+                from: self.controllers[request.source].server().id,
                 to,
                 duration_secs: 0.0,
-                volume_mb: transfer.volume_mb,
-                back: transfer.back,
+                volume_mb: request.volume_mb,
+                back: request.back,
             };
-            self.land(record, outcome);
-            if transfer.back {
-                self.reinflate_if_fits(transfer.source);
+            self.land(event, outcome);
+            if request.back {
+                self.reinflate_if_fits(request.source);
             }
         } else {
-            self.staged.push(transfer);
+            self.staged.push(request);
             outcome.touch(to);
         }
     }
 
-    /// Land a moved VM on `record.to`, where its domain already exists.
+    /// Land a moved VM on `event.to`, where its domain already exists.
     /// The guest's memory state (RSS, squeezed-or-not page cache,
     /// utilisation history) travels with it, as live migration does; the
     /// source copy is destroyed; location, migration origin and the
     /// `migrations` or `migrations_back` counter follow the move; and the
-    /// record joins `outcome`. The source is not reinflated here.
-    fn land(&mut self, record: MigrationRecord, outcome: &mut CapacityChangeOutcome) {
-        let vm = record.vm;
-        let (source, dest) = (self.server_index(record.from), self.server_index(record.to));
+    /// event joins `outcome`. The source is not reinflated here.
+    fn land(&mut self, event: MigrationEvent, outcome: &mut CapacityChangeOutcome) {
+        let vm = event.vm;
+        let (source, dest) = (self.server_index(event.from), self.server_index(event.to));
         if let Some(src) = self.controllers[source].server().domain(vm).cloned() {
             if let Some(dst) = self.controllers[dest].server_mut().domain_mut(vm) {
                 dst.migrate_guest_state_from(&src);
@@ -1308,16 +1293,16 @@ impl ClusterManager {
         let _ = self.controllers[source].server_mut().destroy_domain(vm);
         self.mark_server_dirty(source);
         self.vm_location.insert(vm, dest);
-        if record.back {
+        if event.back {
             self.migration_origin.remove(&vm);
             self.transient.migrations_back += 1;
         } else {
             self.migration_origin.entry(vm).or_insert(source);
             self.transient.migrations += 1;
         }
-        outcome.touch(record.to);
-        outcome.touch(record.from);
-        outcome.migrated.push(record);
+        outcome.touch(event.to);
+        outcome.touch(event.from);
+        outcome.migrated.push(event);
     }
 
     /// Hand the current decision batch to the [`TransferScheduler`] and
@@ -1331,45 +1316,25 @@ impl ClusterManager {
         }
         let _booking = self.telemetry.span(Phase::TransferBooking);
         let staged = std::mem::take(&mut self.staged);
-        let requests: Vec<TransferRequest> = staged
-            .iter()
-            .map(|s| TransferRequest {
-                vm: s.vm,
-                source: s.source,
-                dest: s.dest,
-                duration_secs: s.duration_secs,
-                volume_mb: s.volume_mb,
-                deadline_secs: s.deadline_secs,
-            })
-            .collect();
         let slots = self.engine.migration_cost.concurrent_slots();
         let decisions =
             self.scheduler
-                .book_batch(self.engine.transfer_policy, &requests, now_secs, slots);
-        for (s, decision) in staged.into_iter().zip(decisions) {
+                .book_batch(self.engine.transfer_policy, &staged, now_secs, slots);
+        for (s, decision) in staged.iter().zip(decisions) {
             match decision {
                 TransferDecision::Booked {
                     start_secs,
                     event_secs,
                 } => {
-                    let flight = InFlight {
-                        vm: s.vm,
-                        source: s.source,
-                        dest: s.dest,
-                        start_secs,
-                        finish_secs: start_secs + s.duration_secs,
-                        deadline_secs: s.deadline_secs,
-                        volume_mb: s.volume_mb,
-                        back: s.back,
-                    };
+                    let id = self.next_migration_id;
+                    self.next_migration_id += 1;
+                    let flight = InFlight::booked(id, s, start_secs);
                     debug_assert_eq!(flight.event_secs(), event_secs);
                     // A forward move remembers its first source; a
                     // migrate-back's entry (its destination) is already there.
                     self.migration_origin.entry(s.vm).or_insert(s.source);
-                    let id = self.next_migration_id;
-                    self.next_migration_id += 1;
-                    self.in_flight.insert(id, flight);
-                    self.in_flight_by_vm.insert(s.vm, id);
+                    let previous = self.in_flight.insert(s.vm, flight);
+                    debug_assert!(previous.is_none(), "{:?} staged while in flight", s.vm);
                     outcome.started.push(PendingMigration {
                         id,
                         vm: s.vm,
@@ -1397,13 +1362,14 @@ impl ClusterManager {
     /// residents reinflate); otherwise the transfer is **aborted**: both
     /// copies are destroyed and the VM is evicted, counted as a
     /// reclamation victim *and* a migration abort. Unknown ids (transfers
-    /// cancelled by a departure or a forced eviction) are a no-op.
-    pub fn complete_migration(&mut self, id: u64, _now_secs: f64) -> CapacityChangeOutcome {
+    /// cancelled by a departure or a forced eviction) are a no-op. A landing
+    /// is reported in `migrated`, stamped `now_secs`.
+    pub fn complete_migration(&mut self, id: u64, now_secs: f64) -> CapacityChangeOutcome {
         let mut outcome = CapacityChangeOutcome::default();
-        let Some(flight) = self.in_flight.remove(&id) else {
+        let Some(flight) = self.in_flight.values().find(|f| f.id == id).copied() else {
             return outcome;
         };
-        self.in_flight_by_vm.remove(&flight.vm);
+        self.in_flight.remove(&flight.vm);
         let from = self.controllers[flight.source].server().id;
         let to = self.controllers[flight.dest].server().id;
         outcome.touch(from);
@@ -1419,7 +1385,8 @@ impl ClusterManager {
             self.transient.reclamation_victims += 1;
             outcome.victims.push(flight.vm);
         } else {
-            let record = MigrationRecord {
+            let event = MigrationEvent {
+                time_secs: now_secs,
                 vm: flight.vm,
                 from,
                 to,
@@ -1427,7 +1394,7 @@ impl ClusterManager {
                 volume_mb: flight.volume_mb,
                 back: flight.back,
             };
-            self.land(record, &mut outcome);
+            self.land(event, &mut outcome);
             self.reinflate_if_fits(flight.source);
         }
         outcome
@@ -1580,9 +1547,8 @@ impl ClusterManager {
                 .filter(|d| {
                     // Skip outbound in-flight VMs (already subtracted by
                     // fits_with_pending; killing them would not help).
-                    self.in_flight_by_vm
+                    self.in_flight
                         .get(&d.spec.id)
-                        .and_then(|mid| self.in_flight.get(mid))
                         .is_none_or(|m| m.source != idx)
                 })
                 .map(|d| (!d.spec.deflatable, d.spec.priority.value(), d.spec.id))
@@ -1599,12 +1565,7 @@ impl ClusterManager {
     /// its source server; otherwise the VM is destroyed everywhere and
     /// counted as a reclamation victim.
     fn evict_vm(&mut self, idx: usize, vm: VmId, outcome: &mut CapacityChangeOutcome) {
-        if let Some(&mid) = self.in_flight_by_vm.get(&vm) {
-            let Some(flight) = self.in_flight.get(&mid).copied() else {
-                return;
-            };
-            self.in_flight_by_vm.remove(&vm);
-            self.in_flight.remove(&mid);
+        if let Some(flight) = self.in_flight.remove(&vm) {
             // The migration is aborted either way. (Its bandwidth
             // reservation is left to drain — the link was in use until the
             // abort.)
@@ -1645,10 +1606,8 @@ impl ClusterManager {
             .remove(&vm)
             .ok_or(DeflateError::UnknownVm(vm))?;
         self.migration_origin.remove(&vm);
-        if let Some(mid) = self.in_flight_by_vm.remove(&vm) {
-            if let Some(flight) = self.in_flight.remove(&mid) {
-                self.depart_and_reinflate(flight.dest, vm);
-            }
+        if let Some(flight) = self.in_flight.remove(&vm) {
+            self.depart_and_reinflate(flight.dest, vm);
         }
         self.controllers[idx].server_mut().destroy_domain(vm)?;
         self.reinflate_if_fits(idx);
@@ -1808,9 +1767,7 @@ impl ClusterManager {
             + self.migration_origin.len() as u64
                 * map_entry_bytes(size_of::<VmId>(), size_of::<usize>())
             + self.in_flight.len() as u64
-                * map_entry_bytes(size_of::<u64>(), size_of::<InFlight>())
-            + self.in_flight_by_vm.len() as u64
-                * map_entry_bytes(size_of::<VmId>(), size_of::<u64>())
+                * map_entry_bytes(size_of::<VmId>(), size_of::<InFlight>())
             + vec_capacity_bytes(&self.staged)
             + vec_capacity_bytes(&self.last_reclaim_secs);
         ledger.record("migrations", migrations);
@@ -1852,20 +1809,17 @@ impl ClusterManager {
     ) -> u64 {
         let id = self.next_migration_id;
         self.next_migration_id += 1;
-        self.in_flight.insert(
-            id,
-            InFlight {
-                vm,
-                source,
-                dest,
-                start_secs,
-                finish_secs,
-                deadline_secs,
-                volume_mb: 0.0,
-                back: false,
-            },
-        );
-        self.in_flight_by_vm.insert(vm, id);
+        let request = TransferRequest {
+            vm,
+            source,
+            dest,
+            duration_secs: finish_secs - start_secs,
+            volume_mb: 0.0,
+            deadline_secs,
+            back: false,
+        };
+        self.in_flight
+            .insert(vm, InFlight::booked(id, &request, start_secs));
         id
     }
 
@@ -1918,11 +1872,10 @@ impl ClusterManager {
         v.seq("vm_location", &mut locations, 16, visit_entry)?;
         let mut origins = sorted_entries(&self.migration_origin);
         v.seq("migration_origin", &mut origins, 16, visit_entry)?;
-        let mut flights: Vec<(u64, InFlight)> =
-            self.in_flight.iter().map(|(&id, &f)| (id, f)).collect();
-        flights.sort_unstable_by_key(|&(id, _)| id);
-        v.seq("in_flight", &mut flights, 65, |v, (id, f)| {
-            v.u64("id", id)?;
+        let mut flights: Vec<InFlight> = self.in_flight.values().copied().collect();
+        flights.sort_unstable_by_key(|f| f.id);
+        v.seq("in_flight", &mut flights, 65, |v, f| {
+            v.u64("id", &mut f.id)?;
             v.u64("vm", &mut f.vm.0)?;
             v.usize("source", &mut f.source)?;
             v.usize("dest", &mut f.dest)?;
@@ -1974,7 +1927,7 @@ impl ClusterManager {
             .iter()
             .chain(&origins)
             .map(|&(_, idx)| idx)
-            .chain(flights.iter().flat_map(|(_, f)| [f.source, f.dest]))
+            .chain(flights.iter().flat_map(|f| [f.source, f.dest]))
             .chain(dirty.iter().copied());
         for idx in server_indices {
             if idx >= servers {
@@ -1983,10 +1936,33 @@ impl ClusterManager {
                 )));
             }
         }
+        // Each migration id names one flight and has been handed out
+        // already; each VM is part of at most one flight.
+        flights.sort_unstable_by_key(|f| f.id);
+        if let Some(pair) = flights.windows(2).find(|pair| pair[0].id == pair[1].id) {
+            return Err(CheckpointError::Corrupt(format!(
+                "migration id {} in flight twice",
+                pair[0].id
+            )));
+        }
+        if let Some(last) = flights.last().filter(|f| f.id >= self.next_migration_id) {
+            return Err(CheckpointError::Corrupt(format!(
+                "migration id {} in flight, but the next one handed out is {}",
+                last.id, self.next_migration_id
+            )));
+        }
+        let mut in_flight = HashMap::with_capacity(flights.len());
+        for flight in flights {
+            if in_flight.insert(flight.vm, flight).is_some() {
+                return Err(CheckpointError::Corrupt(format!(
+                    "VM {} in flight twice",
+                    flight.vm.0
+                )));
+            }
+        }
         self.vm_location = locations.into_iter().map(|(vm, i)| (VmId(vm), i)).collect();
         self.migration_origin = origins.into_iter().map(|(vm, i)| (VmId(vm), i)).collect();
-        self.in_flight_by_vm = flights.iter().map(|&(id, f)| (f.vm, id)).collect();
-        self.in_flight = flights.into_iter().collect();
+        self.in_flight = in_flight;
         self.staged.clear();
         self.index =
             PlacementIndex::new(self.controllers.iter().map(|c| c.server().view()).collect());
@@ -2090,7 +2066,7 @@ impl ElasticCluster for ClusterManager {
     /// part of an in-flight migration (its footprint is pledged to two
     /// servers at once — the autoscaler picks another replica).
     fn park_replica(&mut self, vm: VmId, fraction: f64) -> Option<ServerId> {
-        if self.in_flight_by_vm.contains_key(&vm) {
+        if self.in_flight.contains_key(&vm) {
             return None;
         }
         let &idx = self.vm_location.get(&vm)?;
@@ -2837,6 +2813,76 @@ mod tests {
         assert_eq!(landed.guest, before.guest);
         assert_eq!(landed.recent_cpu_utilization(), 0.6);
         assert!(cluster.check_invariants());
+    }
+
+    #[test]
+    fn landings_are_stamped_with_the_call_time() {
+        // Cost-free: the forward move lands inside the reclaim call.
+        let mut cluster = small_cluster(ReclamationMode::MigrationOnly);
+        assert!(cluster.place_vm(vm(1, 8.0, 0.5)).is_placed());
+        let from = cluster.locate(VmId(1)).unwrap();
+        let outcome = cluster.reclaim_capacity(from, 0.4, 123.5);
+        assert_eq!(outcome.migrated.len(), 1);
+        assert_eq!(outcome.migrated[0].time_secs, 123.5);
+
+        // Costed: the landing reports the completion call's time.
+        let mut cluster =
+            small_cluster(ReclamationMode::MigrationOnly).with_migration_cost(slow_model());
+        assert!(cluster.place_vm(vm(1, 8.0, 0.5)).is_placed());
+        let from = cluster.locate(VmId(1)).unwrap();
+        let pending = cluster.reclaim_capacity(from, 0.4, 100.0).started[0];
+        let done = cluster.complete_migration(pending.id, 777.25);
+        assert_eq!(done.migrated.len(), 1);
+        assert_eq!(done.migrated[0].time_secs, 777.25);
+    }
+
+    /// `bytes` with the one little-endian occurrence of `from` replaced by
+    /// `to`.
+    fn patch_u64(bytes: &[u8], from: u64, to: u64) -> Vec<u8> {
+        let needle = from.to_le_bytes();
+        let hits: Vec<usize> = (0..=bytes.len() - 8)
+            .filter(|&i| bytes[i..i + 8] == needle)
+            .collect();
+        assert_eq!(hits.len(), 1, "{from:#x} must occur exactly once");
+        let mut patched = bytes.to_vec();
+        patched[hits[0]..hits[0] + 8].copy_from_slice(&to.to_le_bytes());
+        patched
+    }
+
+    #[test]
+    fn inconsistent_in_flight_snapshots_are_rejected() {
+        use deflate_core::checkpoint::{ByteReader, ByteWriter};
+        let restore = |bytes: &[u8]| {
+            let mut cluster = small_cluster(deflation_mode());
+            let mut reader = ByteReader::new(bytes);
+            cluster.visit_state(&mut reader).map(|()| cluster)
+        };
+        // Distinctive VM and migration ids, so each occurs once in the bytes.
+        let (vm_a, vm_b, first_id) = (0xA11C_E000_0001, 0xA11C_E000_0002, 0x5EED_0000_0000);
+        let mut cluster = small_cluster(deflation_mode());
+        cluster.next_migration_id = first_id;
+        cluster.inject_test_flight(VmId(vm_a), 0, 1, 0.0, 30.0, 60.0);
+        cluster.inject_test_flight(VmId(vm_b), 1, 0, 0.0, 30.0, 60.0);
+        let mut writer = ByteWriter::new();
+        cluster.visit_state(&mut writer).unwrap();
+        let bytes = writer.into_bytes();
+
+        let restored = restore(&bytes).expect("a consistent snapshot restores");
+        assert!(restored.is_in_flight(VmId(vm_a)) && restored.is_in_flight(VmId(vm_b)));
+        let corrupt = [
+            // One VM in two flights.
+            (patch_u64(&bytes, vm_b, vm_a), "VM"),
+            // One migration id on two flights.
+            (patch_u64(&bytes, first_id + 1, first_id), "twice"),
+            // A flight id the next booking would hand out again.
+            (patch_u64(&bytes, first_id + 2, first_id + 1), "next"),
+        ];
+        for (bytes, what) in &corrupt {
+            match restore(bytes) {
+                Err(CheckpointError::Corrupt(detail)) => assert!(detail.contains(what), "{detail}"),
+                other => panic!("expected Corrupt naming {what:?}, got {:?}", other.err()),
+            }
+        }
     }
 
     #[test]

@@ -154,9 +154,11 @@ impl VmRecord {
 }
 
 /// One VM migration performed during the simulation (capacity-reclamation
-/// fallback, or migrate-back after a restitution). Recorded when the
-/// transfer *completes*; aborted transfers appear as evictions and in
-/// [`TransientCounters::migration_aborts`] instead.
+/// fallback, or migrate-back after a restitution). The cluster manager
+/// emits one when the transfer *completes* (in
+/// [`CapacityChangeOutcome::migrated`](crate::CapacityChangeOutcome::migrated)),
+/// and the simulation logs it as is; aborted transfers appear as evictions
+/// and in [`TransientCounters::migration_aborts`] instead.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct MigrationEvent {
     /// Simulation time the migration completed, seconds. With a costed

@@ -35,7 +35,8 @@ use deflate_core::policy::{TransferOrdering, TransferPolicy};
 use deflate_core::vm::VmId;
 use serde::{Deserialize, Serialize};
 
-/// One transfer a capacity event wants booked.
+/// One transfer a capacity event wants booked. The cluster manager stages
+/// these during a capacity event and books them as one batch.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TransferRequest {
     /// The migrating VM (identification / tie-breaking only).
@@ -51,6 +52,9 @@ pub struct TransferRequest {
     /// Absolute abort deadline (the `Edf` sort key); `f64::INFINITY` for
     /// transfers that never race a deadline (migrate-backs).
     pub deadline_secs: f64,
+    /// True for a migrate-back to the VM's origin server. The scheduler
+    /// ignores it; the manager carries it through to the landing.
+    pub back: bool,
 }
 
 /// The scheduler's verdict on one [`TransferRequest`].
@@ -264,6 +268,7 @@ mod tests {
             duration_secs: duration,
             volume_mb: volume,
             deadline_secs: deadline,
+            back: false,
         }
     }
 

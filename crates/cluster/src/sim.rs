@@ -196,32 +196,15 @@ impl EngineState {
     }
 
     /// Fold a capacity-change outcome into the per-VM bookkeeping: evicted
-    /// VMs stop running, completed migrations are logged with their
-    /// transfer cost, newly started transfers get a `MigrationComplete`
-    /// event scheduled, and allocation histories of every touched server
-    /// are brought up to date. Victims outside the workload are elastic
-    /// replicas — they have no record, but the autoscaler must drop them
-    /// from its pool (and count the loss).
+    /// VMs stop running, completed migrations join the migration log as
+    /// the manager reported them, newly started transfers get a
+    /// `MigrationComplete` event scheduled, and allocation histories of
+    /// every touched server are brought up to date.
     fn apply_capacity_outcome(&mut self, outcome: &CapacityChangeOutcome, time: f64) {
         for &victim in &outcome.victims {
-            if let Some(&vi) = self.index_of.get(&victim) {
-                self.records[vi].outcome = VmOutcome::Evicted { at_secs: time };
-                self.running[vi] = false;
-            } else if let Some(autoscaler) = self.autoscaler.as_mut() {
-                autoscaler.on_replica_evicted(victim);
-            }
+            self.lose_vm(victim, VmOutcome::Evicted { at_secs: time });
         }
-        for migration in &outcome.migrated {
-            self.migrations.push(MigrationEvent {
-                time_secs: time,
-                vm: migration.vm,
-                from: migration.from,
-                to: migration.to,
-                duration_secs: migration.duration_secs,
-                volume_mb: migration.volume_mb,
-                back: migration.back,
-            });
-        }
+        self.migrations.extend_from_slice(&outcome.migrated);
         for started in &outcome.started {
             self.queue.push(
                 started.event_secs,
@@ -232,6 +215,20 @@ impl EngineState {
         }
         for &server in &outcome.touched {
             self.record_allocations(server, time);
+        }
+    }
+
+    /// Record that the manager killed `vm` (preempted or evicted it): a
+    /// workload VM's record takes `outcome` and stops running. A VM outside
+    /// the workload is an elastic replica with no record, which must leave
+    /// the autoscaler's pool (and count as lost), or it would count as
+    /// active forever and block its own replacement.
+    fn lose_vm(&mut self, vm: VmId, outcome: VmOutcome) {
+        if let Some(&vi) = self.index_of.get(&vm) {
+            self.records[vi].outcome = outcome;
+            self.running[vi] = false;
+        } else if let Some(autoscaler) = self.autoscaler.as_mut() {
+            autoscaler.on_replica_evicted(vm);
         }
     }
 
@@ -739,18 +736,8 @@ impl ClusterSimulation {
                         } => {
                             state.records[i].outcome = VmOutcome::Completed;
                             state.running[i] = true;
-                            for victim in preempted {
-                                if let Some(&vi) = state.index_of.get(victim) {
-                                    state.records[vi].outcome =
-                                        VmOutcome::Preempted { at_secs: time };
-                                    state.running[vi] = false;
-                                } else if let Some(autoscaler) = state.autoscaler.as_mut() {
-                                    // A preempted elastic replica must
-                                    // leave the autoscaler's pool, or it
-                                    // would count as active forever and
-                                    // block its own replacement.
-                                    autoscaler.on_replica_evicted(*victim);
-                                }
+                            for &victim in preempted {
+                                state.lose_vm(victim, VmOutcome::Preempted { at_secs: time });
                             }
                             Some(server)
                         }
